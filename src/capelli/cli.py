@@ -153,9 +153,9 @@ def cmd_expand_standard(args) -> int:
     with _phase("compute", args.timing):
         try:
             element = UglElement.from_json(json.loads(raw), args.n)
-            expansion = standard_capelli_expansion(element)
         except (ValueError, TypeError, KeyError) as exc:
             raise UsageError(f"bad element: {exc}")
+        expansion = standard_capelli_expansion(element)
     with _phase("render", args.timing):
         print(_render_expansion(expansion, args.format))
     return 0

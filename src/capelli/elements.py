@@ -13,12 +13,11 @@ Young-Capelli basis.
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .characters import character
-from .enveloping import UglElement, element_sum
+from .enveloping import Coeff, UglElement, element_sum
 from .polynomials import (
     MPoly,
     StdExpansion,
@@ -41,7 +40,6 @@ from .tableaux import (
 )
 
 _column_memo: dict[tuple, UglElement] = {}
-_column_memo_lock = threading.Lock()
 
 
 def _check_column(lefts, rights, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -94,13 +92,11 @@ def _column_sorted(pairs: tuple[tuple[int, int], ...], n: int) -> UglElement:
                 result = result + _column_sorted(
                     tuple(sorted(reduced)), n
                 ) * contract_sign
-    with _column_memo_lock:
-        _column_memo.setdefault(key, result)
+    _column_memo[key] = result
     return result
 
 
 _column_alt_memo: dict[tuple, UglElement] = {}
-_column_alt_memo_lock = threading.Lock()
 
 
 def column_capelli_alt(lefts, rights, n: int) -> UglElement:
@@ -139,8 +135,7 @@ def column_capelli_alt(lefts, rights, n: int) -> UglElement:
                 result = result + column_capelli_alt(
                     new_lefts, new_rights, n
                 ) * contract_sign
-    with _column_alt_memo_lock:
-        _column_alt_memo.setdefault(key, result)
+    _column_alt_memo[key] = result
     return result
 
 
@@ -174,30 +169,73 @@ def column_capelli_literal(lefts, rights, n: int) -> UglElement:
     return result
 
 
-def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
-    """Image [S|T] of the bitableau (S|T): the signed sum of column Capelli
-    elements over the multipermutation expansion.  Zero when shapes differ."""
-    if left.shape != right.shape:
-        return UglElement.zero(n)
+# -- families assembled over distinct columns ---------------------------------
+#
+# Every family below is a rational combination of column elements.  Its
+# columns are first merged into one map from the row-sorted column key (the
+# key of the column memo) to a coefficient; only then is each distinct
+# column fetched once and scaled.  Many permutations give the same column,
+# so this replaces one scaled copy per permutation by one per column.
+
+ColumnKey = tuple[tuple[int, int], ...]
+
+
+def _add_column(weights: dict, lefts, rights, coeff) -> None:
+    key = tuple(sorted(zip(lefts, rights)))
+    weights[key] = weights.get(key, 0) + coeff
+
+
+def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
+    """Sum of weight * [lefts | rights] over a merged column map."""
     return element_sum(
         n,
         (
-            column_capelli(lefts, rights, n) * sign
-            for sign, (lefts, rights) in expand_into_columns(left, right)
+            column_capelli(
+                tuple(i for i, _ in key), tuple(j for _, j in key), n
+            ) * weight
+            for key, weight in weights.items()
+            if weight
         ),
     )
+
+
+def _add_bitableau_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
+    """Add coeff * [S|T]: the signed multipermutation expansion into columns."""
+    for sign, (lefts, rights) in expand_into_columns(left, right):
+        _add_column(weights, lefts, rights, sign * coeff)
+
+
+def _add_young_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
+    """Add coeff * [S|box T]: [S|Tbar] over the column permutations of T."""
+    for rbar in column_permuted_family(right):
+        _add_bitableau_columns(weights, left, rbar, coeff)
+
+
+def _add_double_young_columns(
+    weights: dict, left: Tableau, right: Tableau, coeff
+) -> None:
+    """Add coeff * [box S|T]; see double_young_capelli."""
+    if left.shape != right.shape:
+        return
+    coeff *= column_sign(left.weight)
+    for sign, variant in _row_permutation_variants(right):
+        _add_young_columns(weights, left, variant, sign * coeff)
+
+
+def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
+    """Image [S|T] of the bitableau (S|T): the signed sum of column Capelli
+    elements over the multipermutation expansion.  Zero when shapes differ."""
+    weights: dict[ColumnKey, int] = {}
+    _add_bitableau_columns(weights, left, right, 1)
+    return _sum_columns(n, weights)
 
 
 def young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Right symmetrized element [S|box T]: sum of [S|Tbar] over all column
     permutations Tbar of T, with multiplicity."""
-    return element_sum(
-        n,
-        (
-            capelli_bitableau(left, rbar, n)
-            for rbar in column_permuted_family(right)
-        ),
-    )
+    weights: dict[ColumnKey, int] = {}
+    _add_young_columns(weights, left, right, 1)
+    return _sum_columns(n, weights)
 
 
 def _row_permutation_variants(t: Tableau):
@@ -221,16 +259,27 @@ def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
 
     summed over all tuples sigma of within-row permutations of T (a signed
     multiset: repeated row entries contribute repeated variants)."""
-    if left.shape != right.shape:
-        return UglElement.zero(n)
-    h = left.weight
-    return element_sum(
-        n,
-        (
-            young_capelli(left, variant, n) * sign
-            for sign, variant in _row_permutation_variants(right)
-        ),
-    ) * column_sign(h)
+    weights: dict[ColumnKey, int] = {}
+    _add_double_young_columns(weights, left, right, 1)
+    return _sum_columns(n, weights)
+
+
+def _character_support(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(sigma, chi_shape(sigma)) for every permutation of nonzero character."""
+    support = []
+    for sigma in itertools.permutations(range(sum(shape))):
+        chi = character(shape, sigma)
+        if chi:
+            support.append((sigma, chi))
+    return support
+
+
+def _immanant_columns(support, lefts, rights) -> dict[ColumnKey, int]:
+    """The merged column map of Cimm[lefts; rights] over a character support."""
+    weights: dict[ColumnKey, int] = {}
+    for sigma, chi in support:
+        _add_column(weights, (lefts[k] for k in sigma), rights, chi)
+    return weights
 
 
 def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
@@ -243,13 +292,7 @@ def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
     lefts, rights = _check_column(lefts, rights, n)
     if len(lefts) != h:
         raise ValueError(f"index words must have length {h}")
-    terms = []
-    for sigma in itertools.permutations(range(h)):
-        chi = character(shape, sigma)
-        if chi:
-            permuted = tuple(lefts[sigma[k]] for k in range(h))
-            terms.append(column_capelli(permuted, rights, n) * chi)
-    return element_sum(n, terms)
+    return _sum_columns(n, _immanant_columns(_character_support(shape), lefts, rights))
 
 
 def _diagonal_word(comp: tuple[int, ...]) -> tuple[int, ...]:
@@ -268,16 +311,15 @@ def quantum_immanant(shape, n: int) -> UglElement:
     with diag the weakly increasing diagonal word of each composition."""
     shape = check_partition(shape)
     h = sum(shape)
-    conj = conjugate(shape)
-    hooks = hook_number(shape)
-    terms = []
+    support = _character_support(conjugate(shape))
+    signed_hooks = hook_number(shape) * column_sign(h)
+    weights: dict[ColumnKey, Fraction] = {}
     for comp in compositions(h, n):
         word = _diagonal_word(comp)
-        weight = Fraction(hooks)
-        for count in comp:
-            weight /= factorial(count)
-        terms.append(capelli_immanant(conj, word, word, n) * weight)
-    return element_sum(n, terms) * column_sign(h)
+        weight = Fraction(signed_hooks, prod(map(factorial, comp)))
+        for key, chi in _immanant_columns(support, word, word).items():
+            weights[key] = weights.get(key, 0) + chi * weight
+    return _sum_columns(n, weights)
 
 
 def schur_element(shape, n: int) -> UglElement:
@@ -298,14 +340,10 @@ def schur_element_dyc(shape, n: int) -> UglElement:
     summed over all row-strictly-increasing tableaux S of the conjugate
     shape with entries in 1..n."""
     shape = check_partition(shape)
-    conj = conjugate(shape)
-    return element_sum(
-        n,
-        (
-            double_young_capelli(s, s, n)
-            for s in enumerate_row_strict(conj, n)
-        ),
-    ) / hook_number(shape)
+    weights: dict[ColumnKey, int] = {}
+    for s in enumerate_row_strict(conjugate(shape), n):
+        _add_double_young_columns(weights, s, s, 1)
+    return _sum_columns(n, weights) / hook_number(shape)
 
 
 def capelli_determinant(n: int) -> UglElement:
@@ -341,16 +379,12 @@ def koszul_inverse(p: MPoly) -> UglElement:
     (-1)^C(h,2) [i_1...i_h | j_1...j_h]; sends (S|T) to [S|T]."""
     if p.n != p.d:
         raise ValueError("the correspondence needs square ambient n = d")
-    n = p.n
-    terms = []
+    # variables_of lists the pairs sorted, so a monomial is its column key
+    weights: dict[ColumnKey, Fraction] = {}
     for exp, coeff in p.terms.items():
-        pairs = p.variables_of(exp)
-        lefts = tuple(i for i, _ in pairs)
-        rights = tuple(j for _, j in pairs)
-        terms.append(
-            column_capelli(lefts, rights, n) * (coeff * column_sign(len(pairs)))
-        )
-    return element_sum(n, terms)
+        pairs = tuple(p.variables_of(exp))
+        weights[pairs] = coeff * column_sign(len(pairs))
+    return _sum_columns(p.n, weights)
 
 
 def young_capelli_basis(h: int, n: int) -> list[tuple[Tableau, Tableau]]:

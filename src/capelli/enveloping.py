@@ -8,8 +8,10 @@ normal form with the commutation relation
     [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb
 
 applied to adjacent out-of-order factors until none remain.  Coefficients
-are exact ``Fraction`` values; zero coefficients are never stored, so
-equality of elements is equality of term maps.
+are exact: an ``int`` when integral, a ``Fraction`` otherwise, so the
+column recursion never leaves the integers.  Zero coefficients are never
+stored, and ``int`` and ``Fraction`` compare and hash alike, so equality of
+elements is equality of term maps.
 """
 
 from __future__ import annotations
@@ -20,6 +22,24 @@ from typing import Iterable, Iterator, Mapping
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
+Coeff = int | Fraction
+
+
+def _exact(value: Rational) -> Coeff:
+    """The coefficient as an int when integral, as a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _settle(terms: dict) -> dict:
+    """Turn the integral Fraction coefficients of a term map into ints, in
+    place; sums and products of Fractions can land on an integer."""
+    for mono, coeff in terms.items():
+        if type(coeff) is not int and coeff.denominator == 1:
+            terms[mono] = coeff.numerator
+    return terms
 
 
 def _first_descent(mono: Monomial) -> int:
@@ -29,7 +49,7 @@ def _first_descent(mono: Monomial) -> int:
     return -1
 
 
-def _normalize(raw: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
     """Rewrite a bag of (monomial, coeff) pairs into the PBW term map.
 
     Worklist algorithm: each out-of-order adjacent pair e_ab e_cd is replaced
@@ -37,7 +57,7 @@ def _normalize(raw: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fract
     Termination: every step either lowers the inversion count at fixed
     length or lowers the length.
     """
-    normal: dict[Monomial, Fraction] = {}
+    normal: dict[Monomial, Coeff] = {}
     stack = [item for item in raw if item[1]]
     while stack:
         mono, coeff = stack.pop()
@@ -56,7 +76,7 @@ def _normalize(raw: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fract
             stack.append((head + ((a, d),) + tail, coeff))
         if d == a:
             stack.append((head + ((c, b),) + tail, -coeff))
-    return normal
+    return _settle(normal)
 
 
 def _term_sort_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -80,7 +100,7 @@ class UglElement:
             for i, j in mono:
                 if not (1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
-            raw.append((mono, Fraction(coeff)))
+            raw.append((mono, _exact(coeff)))
         object.__setattr__(self, "terms", _normalize(raw))
 
     def __setattr__(self, name, value):
@@ -94,15 +114,15 @@ class UglElement:
 
     @classmethod
     def one(cls, n: int) -> "UglElement":
-        return cls(n, {(): Fraction(1)})
+        return cls(n, {(): 1})
 
     @classmethod
     def generator(cls, n: int, i: int, j: int) -> "UglElement":
-        return cls(n, {((i, j),): Fraction(1)})
+        return cls(n, {((i, j),): 1})
 
     @classmethod
     def scalar(cls, n: int, value) -> "UglElement":
-        return cls(n, {(): Fraction(value)})
+        return cls(n, {(): value})
 
     # -- ring structure ----------------------------------------------------
 
@@ -121,7 +141,7 @@ class UglElement:
                 merged[mono] = acc
             else:
                 del merged[mono]
-        return self._wrap(merged)
+        return self._wrap(_settle(merged))
 
     def __sub__(self, other):
         if not isinstance(other, UglElement):
@@ -141,10 +161,12 @@ class UglElement:
             ]
             return self._wrap(_normalize(raw))
         if isinstance(other, Rational):
-            q = Fraction(other)
+            q = _exact(other)
             if not q:
                 return UglElement.zero(self.n)
-            return self._wrap({mono: coeff * q for mono, coeff in self.terms.items()})
+            return self._wrap(
+                _settle({mono: coeff * q for mono, coeff in self.terms.items()})
+            )
         return NotImplemented
 
     def __rmul__(self, other):
@@ -157,8 +179,8 @@ class UglElement:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def _wrap(self, normal_terms: dict[Monomial, Fraction]) -> "UglElement":
-        # Internal fast path: terms are already normalized and pruned.
+    def _wrap(self, normal_terms: dict[Monomial, Coeff]) -> "UglElement":
+        # Internal fast path: terms are already normalized, pruned and settled.
         elem = object.__new__(UglElement)
         object.__setattr__(elem, "n", self.n)
         object.__setattr__(elem, "terms", normal_terms)
@@ -200,7 +222,7 @@ class UglElement:
             for j in range(1, self.n + 1)
         )
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))
 
     # -- rendering and serialization ----------------------------------------
@@ -238,10 +260,18 @@ class UglElement:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int) -> "UglElement":
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
         terms: dict[Monomial, Fraction] = {}
         for entry in data:
             mono = tuple((int(i), int(j)) for i, j in entry["monomial"])
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coeff"])
+            try:
+                coeff = Fraction(entry["coeff"])
+            except ArithmeticError:  # "1/0", or a JSON Infinity
+                raise ValueError(
+                    f"coefficient {entry['coeff']!r} is not a finite rational"
+                ) from None
+            terms[mono] = terms.get(mono, 0) + coeff
         return cls(n, terms)
 
     def __repr__(self) -> str:
@@ -255,7 +285,7 @@ def ad(i: int, j: int, x: UglElement) -> UglElement:
 
 def element_sum(n: int, elements: Iterator[UglElement] | Iterable[UglElement]) -> UglElement:
     """Exact sum of many elements without quadratic re-merging."""
-    acc: dict[Monomial, Fraction] = {}
+    acc: dict[Monomial, Coeff] = {}
     for elem in elements:
         if elem.n != n:
             raise ValueError(f"ambient mismatch: n={n} vs n={elem.n}")

@@ -171,6 +171,10 @@ class MPoly:
 
     def diff(self, i: int, phi: int) -> "MPoly":
         """Partial derivative with respect to the variable (i|phi)."""
+        if not (1 <= i <= self.n and 1 <= phi <= self.d):
+            raise ValueError(
+                f"variable ({i}|{phi}) out of range for ({self.n},{self.d})"
+            )
         idx = (i - 1) * self.d + (phi - 1)
         out: dict[ExpVec, Fraction] = {}
         for exp, coeff in self.terms.items():
@@ -299,12 +303,20 @@ def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
 # -- bideterminants and bitableaux ------------------------------------------
 
 
+def _check_words(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> None:
+    if any(not 1 <= i <= n for i in letters):
+        raise ValueError(f"letters {tuple(letters)} out of range 1..{n}")
+    if any(not 1 <= phi <= d for phi in places):
+        raise ValueError(f"places {tuple(places)} out of range 1..{d}")
+
+
 def biproduct(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> MPoly:
     """The signed minor (-1)^C(p,2) det[(letters_r | places_s)].
 
     Zero when the words have different lengths.
     """
     letters, places = tuple(letters), tuple(places)
+    _check_words(n, d, letters, places)
     if len(letters) != len(places):
         return MPoly.zero(n, d)
     p = len(letters)
@@ -350,6 +362,7 @@ def crossing_sign(shape: Sequence[int]) -> int:
 
 def bitableau(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
     """Signed product of row biproducts; zero when the shapes differ."""
+    _check_words(n, d, left.word(), right.word())
     if left.shape != right.shape:
         return MPoly.zero(n, d)
     result = MPoly.one(n, d) * crossing_sign(left.shape)

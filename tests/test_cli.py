@@ -123,6 +123,36 @@ def test_expand_standard_bad_element_exits_2():
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        '[{"coeff": "1/0", "monomial": [[1, 1]]}]',
+        "{}",
+    ],
+)
+def test_expand_standard_rejects_malformed_json_with_one_line(element):
+    proc = run_cli("expand-standard", "--n", "2", "--element", element)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: bad element: ")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "left, right, n, d",
+    [
+        ("[[1]]", "[[3]]", "3", "2"),  # place 3 > d: was read as (2|1)
+        ("[[4]]", "[[1]]", "3", "3"),  # letter 4 > n: was an IndexError
+    ],
+)
+def test_straighten_out_of_range_entry_exits_2(left, right, n, d):
+    proc = run_cli("straighten", "--left", left, "--right", right, "--n", n, "--d", d)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
+
+
 def test_verify_reports_pass(capsys):
     code = cli.main(["verify", "central", "--max-h", "2", "--max-n", "2"])
     report = json.loads(capsys.readouterr().out)

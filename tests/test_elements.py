@@ -1,5 +1,7 @@
+import functools
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from capelli.polynomials import (
     act_column_capelli_diff,
     act_ugl,
     bitableau,
+    column_sign,
     right_symmetrized,
     standard_pairs,
 )
@@ -30,7 +33,17 @@ from capelli.elements import (
     young_capelli,
     young_capelli_basis,
 )
-from capelli.tableaux import Tableau, partitions_of
+from capelli.characters import character
+from capelli.tableaux import (
+    Tableau,
+    column_permuted_family,
+    compositions,
+    conjugate,
+    enumerate_row_strict,
+    hook_number,
+    partitions_of,
+    permutation_sign,
+)
 
 
 def gen(n, i, j):
@@ -270,3 +283,132 @@ def test_expansion_of_generators_is_degree_one():
         for j in range(1, 3):
             expansion = standard_capelli_expansion(gen(n, i, j))
             assert all(s.weight == 1 for s, _, _ in expansion.terms)
+
+
+# -- the assembled families against literal sums ------------------------------
+#
+# Each family is rebuilt here as the plain sum of its defining formula, one
+# term per permutation, over column_capelli_literal (no row sorting, no memo,
+# no merging of equal columns).  Columns are read row by row, not column by
+# column as in the package; the element does not depend on the row order.
+
+literal = functools.cache(column_capelli_literal)
+
+
+def literal_bitableau(s, t, n):
+    total = UglElement.zero(n)
+    if s.shape != t.shape:
+        return total
+    for perms in itertools.product(
+        *(itertools.permutations(range(len(row))) for row in s.rows)
+    ):
+        sign = 1
+        for perm in perms:
+            sign *= permutation_sign(perm)
+        lefts = tuple(row[k] for row, perm in zip(s.rows, perms) for k in perm)
+        total = total + literal(lefts, t.word(), n) * sign
+    return total
+
+
+def literal_young(s, t, n):
+    total = UglElement.zero(n)
+    for tbar in column_permuted_family(t):
+        total = total + literal_bitableau(s, tbar, n)
+    return total
+
+
+def literal_double_young(s, t, n):
+    total = UglElement.zero(n)
+    if s.shape != t.shape:
+        return total
+    for perms in itertools.product(
+        *(itertools.permutations(range(len(row))) for row in t.rows)
+    ):
+        sign = 1
+        for perm in perms:
+            sign *= permutation_sign(perm)
+        variant = Tableau(
+            tuple(tuple(row[k] for k in perm) for row, perm in zip(t.rows, perms))
+        )
+        total = total + literal_young(s, variant, n) * sign
+    return total * column_sign(s.weight)
+
+
+def literal_immanant(shape, lefts, rights, n):
+    total = UglElement.zero(n)
+    for sigma in itertools.permutations(range(len(lefts))):
+        chi = character(shape, sigma)
+        total = total + literal(tuple(lefts[k] for k in sigma), rights, n) * chi
+    return total
+
+
+def literal_quantum(shape, n):
+    h = sum(shape)
+    total = UglElement.zero(n)
+    for comp in compositions(h, n):
+        word = tuple(i for i, c in enumerate(comp, start=1) for _ in range(c))
+        weight = Fraction(hook_number(shape))
+        for c in comp:
+            weight /= factorial(c)
+        total = total + literal_immanant(conjugate(shape), word, word, n) * weight
+    return total * column_sign(h)
+
+
+SMALL = [(h, n) for h in range(1, 4) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("h, n", SMALL)
+def test_capelli_immanant_is_its_literal_sum(h, n):
+    words = list(itertools.product(range(1, n + 1), repeat=h))
+    for shape in partitions_of(h):
+        for lefts in words:
+            for rights in words:
+                assert capelli_immanant(shape, lefts, rights, n) == literal_immanant(
+                    shape, lefts, rights, n
+                ), (shape, lefts, rights)
+
+
+@pytest.mark.parametrize("h, n", SMALL)
+def test_quantum_immanant_is_its_literal_sum(h, n):
+    for shape in partitions_of(h):
+        assert quantum_immanant(shape, n) == literal_quantum(shape, n), shape
+
+
+@pytest.mark.parametrize("h, n", SMALL)
+def test_bitableau_families_are_their_literal_sums(h, n):
+    for shape in partitions_of(h):
+        fillings = enumerate_row_strict(shape, n)
+        for s in fillings:
+            for t in fillings:
+                assert capelli_bitableau(s, t, n) == literal_bitableau(s, t, n)
+                assert young_capelli(s, t, n) == literal_young(s, t, n), (s, t)
+                assert double_young_capelli(s, t, n) == literal_double_young(
+                    s, t, n
+                ), (s, t)
+
+
+def test_bitableau_families_vanish_on_shape_mismatch():
+    s, t = Tableau(((1, 2),)), Tableau(((1,), (2,)))
+    assert not young_capelli(s, t, 2)
+    assert not double_young_capelli(s, t, 2)
+
+
+def test_column_and_determinant_coefficients_are_ints():
+    n = 3
+    for h in range(4):
+        for lefts in itertools.product(range(1, n + 1), repeat=h):
+            for rights in itertools.product(range(1, n + 1), repeat=h):
+                coeffs = column_capelli(lefts, rights, n).terms.values()
+                assert all(type(c) is int for c in coeffs), (lefts, rights)
+    assert all(type(c) is int for c in capelli_determinant(4).terms.values())
+
+
+def test_integral_fraction_is_stored_as_int():
+    mono = ((1, 1),)
+    from_fraction = UglElement(2, {mono: Fraction(4, 2)})
+    from_int = UglElement(2, {mono: 2})
+    assert type(from_fraction.terms[mono]) is int
+    assert from_fraction == from_int
+    assert hash(from_fraction) == hash(from_int)
+    assert from_fraction.text() == from_int.text() == "2 · e[1,1]"
+    assert from_fraction.to_json() == from_int.to_json()

@@ -121,6 +121,14 @@ def test_scalar_arithmetic():
     assert UglElement.scalar(n, Fraction(5, 3)) * 3 == UglElement.one(n) * 5
 
 
+@settings(deadline=None)
+@given(element_strategy(), element_strategy())
+def test_integral_coefficients_are_stored_as_ints(x, y):
+    for z in (x + y, x - y, x * y, x * 3, x / 2, x / 2 * 2, y * Fraction(3, 2)):
+        for coeff in z.terms.values():
+            assert type(coeff) is int or coeff.denominator != 1, z
+
+
 def test_casimir_elements_are_central():
     for n in (2, 3):
         linear = element_sum(n, (gen(n, i, i) for i in range(1, n + 1)))

@@ -109,6 +109,32 @@ def test_diff_is_a_derivation(p, q):
             assert lhs == rhs
 
 
+def test_diff_rejects_out_of_range_variables():
+    p = MPoly.variable(3, 2, 2, 1)
+    with pytest.raises(ValueError):
+        p.diff(1, 3)  # slot of (2|1) when read unchecked
+    with pytest.raises(ValueError):
+        p.diff(4, 1)
+    with pytest.raises(ValueError):
+        p.diff(0, 1)
+
+
+def test_biproduct_and_bitableau_reject_out_of_range_entries():
+    with pytest.raises(ValueError):
+        biproduct(3, 2, (1,), (3,))
+    with pytest.raises(ValueError):
+        biproduct(3, 3, (4,), (1,))
+    with pytest.raises(ValueError):
+        biproduct(3, 3, (1, 0), (1, 2))
+    with pytest.raises(ValueError):
+        bitableau(3, 2, Tableau(((1,),)), Tableau(((3,),)))
+    with pytest.raises(ValueError):
+        bitableau(3, 3, Tableau(((4,),)), Tableau(((1,),)))
+    # the range check comes before the shape comparison
+    with pytest.raises(ValueError):
+        bitableau(2, 2, Tableau(((1, 3),)), Tableau(((1,), (2,))))
+
+
 def test_degree_part_and_homogeneity():
     p = var(1, 1) * var(2, 2) + var(1, 2) * 3 + MPoly.one(2, 2)
     assert not p.is_homogeneous()
