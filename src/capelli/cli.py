@@ -102,16 +102,11 @@ def _phase(name: str, enabled: bool):
         print(f"timing: {name} {time.perf_counter() - start:.3f}s", file=sys.stderr)
 
 
-def _render_element(element: UglElement, fmt: str) -> str:
+def _render(obj, fmt: str) -> str:
+    """An element or expansion as JSON or as text."""
     if fmt == "json":
-        return json.dumps(element.to_json(), indent=2)
-    return element.text()
-
-
-def _render_expansion(expansion, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(expansion.to_json(), indent=2)
-    return expansion.text()
+        return json.dumps(obj.to_json(), indent=2)
+    return obj.text()
 
 
 def cmd_qimm(args) -> int:
@@ -121,7 +116,7 @@ def cmd_qimm(args) -> int:
         else:
             element = quantum_immanant(args.shape, args.n)
     with _phase("render", args.timing):
-        print(_render_element(element, args.format))
+        print(_render(element, args.format))
     return 0
 
 
@@ -132,7 +127,7 @@ def cmd_col(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     with _phase("render", args.timing):
-        print(_render_element(element, args.format))
+        print(_render(element, args.format))
     return 0
 
 
@@ -144,7 +139,7 @@ def cmd_straighten(args) -> int:
         except ValueError as exc:
             raise UsageError(str(exc))
     with _phase("render", args.timing):
-        print(_render_expansion(expansion, args.format))
+        print(_render(expansion, args.format))
     return 0
 
 
@@ -157,7 +152,7 @@ def cmd_expand_standard(args) -> int:
             raise UsageError(f"bad element: {exc}")
         expansion = standard_capelli_expansion(element)
     with _phase("render", args.timing):
-        print(_render_expansion(expansion, args.format))
+        print(_render(expansion, args.format))
     return 0
 
 

@@ -37,6 +37,7 @@ from .tableaux import (
     enumerate_row_strict,
     hook_number,
     permutation_sign,
+    row_permutations,
 )
 
 _column_memo: dict[tuple, UglElement] = {}
@@ -82,16 +83,13 @@ def _column_sorted(pairs: tuple[tuple[int, int], ...], n: int) -> UglElement:
     else:
         (i1, j1), rest = pairs[0], pairs[1:]
         top_sign = -1 if (h - 1) % 2 else 1
-        result = (
-            UglElement.generator(n, i1, j1) * _column_sorted(rest, n) * top_sign
-        )
+        parts = [UglElement.generator(n, i1, j1) * _column_sorted(rest, n) * top_sign]
         contract_sign = -1 if (h - 2) % 2 else 1
         for k, (ik, jk) in enumerate(rest):
             if ik == j1:
                 reduced = ((i1, jk),) + rest[:k] + rest[k + 1 :]
-                result = result + _column_sorted(
-                    tuple(sorted(reduced)), n
-                ) * contract_sign
+                parts.append(_column_sorted(tuple(sorted(reduced)), n) * contract_sign)
+        result = element_sum(n, parts)
     _column_memo[key] = result
     return result
 
@@ -218,7 +216,10 @@ def _add_double_young_columns(
     if left.shape != right.shape:
         return
     coeff *= column_sign(left.weight)
-    for sign, variant in _row_permutation_variants(right):
+    for sign, perms in row_permutations(right.shape):
+        variant = Tableau(
+            tuple(tuple(row[c] for c in perm) for row, perm in zip(right.rows, perms))
+        )
         _add_young_columns(weights, left, variant, sign * coeff)
 
 
@@ -236,20 +237,6 @@ def young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     weights: dict[ColumnKey, int] = {}
     _add_young_columns(weights, left, right, 1)
     return _sum_columns(n, weights)
-
-
-def _row_permutation_variants(t: Tableau):
-    """(sign, variant) for every tuple of within-row permutations of t."""
-    per_row = [itertools.permutations(range(k)) for k in t.shape]
-    for perms in itertools.product(*per_row):
-        sign = 1
-        for perm in perms:
-            sign *= permutation_sign(perm)
-        rows = tuple(
-            tuple(row[perm[c]] for c in range(len(row)))
-            for row, perm in zip(t.rows, perms)
-        )
-        yield sign, Tableau(rows)
 
 
 def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
+from .terms import add_terms, parse_coeff, signed_text
+
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
 Coeff = int | Fraction
@@ -63,6 +65,7 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
         mono, coeff = stack.pop()
         k = _first_descent(mono)
         if k < 0:
+            # inline merge, not add_terms: this is the innermost PBW loop
             acc = normal.get(mono, 0) + coeff
             if acc:
                 normal[mono] = acc
@@ -134,14 +137,7 @@ class UglElement:
         if not isinstance(other, UglElement):
             return NotImplemented
         self._check_ambient(other)
-        merged = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc = merged.get(mono, 0) + coeff
-            if acc:
-                merged[mono] = acc
-            else:
-                del merged[mono]
-        return self._wrap(_settle(merged))
+        return self._wrap(_settle(add_terms(dict(self.terms), other.terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, UglElement):
@@ -234,23 +230,10 @@ class UglElement:
         lexicographically on the generator sequence.  Unit coefficients are
         suppressed; signs are folded into the separators (U+2212 minus).
         """
-        if not self.terms:
-            return "0"
-        pieces = []
-        for mono, coeff in self.sorted_terms():
-            body = "".join(f"e[{i},{j}]" for i, j in mono)
-            mag = abs(coeff)
-            if not mono:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag} · {body}"
-            if not pieces:
-                pieces.append(chunk if coeff > 0 else "−" + chunk)
-            else:
-                pieces.append((" + " if coeff > 0 else " − ") + chunk)
-        return "".join(pieces)
+        return signed_text(
+            ("".join(f"e[{i},{j}]" for i, j in mono), coeff)
+            for mono, coeff in self.sorted_terms()
+        )
 
     def to_json(self) -> list[dict]:
         return [
@@ -262,17 +245,14 @@ class UglElement:
     def from_json(cls, data: list[dict], n: int) -> "UglElement":
         if not isinstance(data, list):
             raise ValueError(f"expected a list of terms, got {type(data).__name__}")
-        terms: dict[Monomial, Fraction] = {}
-        for entry in data:
-            mono = tuple((int(i), int(j)) for i, j in entry["monomial"])
-            try:
-                coeff = Fraction(entry["coeff"])
-            except ArithmeticError:  # "1/0", or a JSON Infinity
-                raise ValueError(
-                    f"coefficient {entry['coeff']!r} is not a finite rational"
-                ) from None
-            terms[mono] = terms.get(mono, 0) + coeff
-        return cls(n, terms)
+        # one checked element per entry, so a term that cancels is still checked
+        return element_sum(
+            n,
+            (
+                cls(n, {tuple(map(tuple, t["monomial"])): parse_coeff(t["coeff"])})
+                for t in data
+            ),
+        )
 
     def __repr__(self) -> str:
         return f"UglElement(n={self.n}, {self.text()})"
@@ -284,15 +264,14 @@ def ad(i: int, j: int, x: UglElement) -> UglElement:
 
 
 def element_sum(n: int, elements: Iterator[UglElement] | Iterable[UglElement]) -> UglElement:
-    """Exact sum of many elements without quadratic re-merging."""
+    """Exact sum of many elements without quadratic re-merging.
+
+    A sum of PBW term maps is a PBW term map, so the result is only settled,
+    not normalized again.
+    """
     acc: dict[Monomial, Coeff] = {}
     for elem in elements:
         if elem.n != n:
             raise ValueError(f"ambient mismatch: n={n} vs n={elem.n}")
-        for mono, coeff in elem.terms.items():
-            total = acc.get(mono, 0) + coeff
-            if total:
-                acc[mono] = total
-            else:
-                del acc[mono]
-    return UglElement(n, acc)
+        add_terms(acc, elem.terms.items())
+    return UglElement.zero(n)._wrap(_settle(acc))

@@ -28,7 +28,9 @@ from .tableaux import (
     enumerate_standard,
     partitions_of,
     permutation_sign,
+    row_permutations,
 )
+from .terms import add_terms, parse_coeff, signed_text
 
 ExpVec = tuple[int, ...]
 
@@ -44,19 +46,13 @@ class MPoly:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         size = n * d
-        cleaned: dict[ExpVec, Fraction] = {}
+        raw = []
         for exp, coeff in (terms or {}).items():
             exp = tuple(map(int, exp))
             if len(exp) != size or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n*d={size}")
-            coeff = Fraction(coeff)
-            if coeff:
-                acc = cleaned.get(exp, 0) + coeff
-                if acc:
-                    cleaned[exp] = acc
-                else:
-                    del cleaned[exp]
-        object.__setattr__(self, "terms", cleaned)
+            raw.append((exp, Fraction(coeff)))
+        object.__setattr__(self, "terms", add_terms({}, raw))
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -109,14 +105,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_ambient(other)
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = merged.get(exp, 0) + coeff
-            if acc:
-                merged[exp] = acc
-            else:
-                del merged[exp]
-        return self._wrap(merged)
+        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -129,15 +118,14 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check_ambient(other)
-            out: dict[ExpVec, Fraction] = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(ea, eb))
-                    acc = out.get(key, 0) + ca * cb
-                    if acc:
-                        out[key] = acc
-                    else:
-                        del out[key]
+            out = add_terms(
+                {},
+                (
+                    (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                    for ea, ca in self.terms.items()
+                    for eb, cb in other.terms.items()
+                ),
+            )
             return self._wrap(out)
         if isinstance(other, Rational):
             q = Fraction(other)
@@ -177,6 +165,7 @@ class MPoly:
             )
         idx = (i - 1) * self.d + (phi - 1)
         out: dict[ExpVec, Fraction] = {}
+        # inline merge, not add_terms: the polarization action's innermost loop
         for exp, coeff in self.terms.items():
             e = exp[idx]
             if e:
@@ -236,29 +225,18 @@ class MPoly:
     def text(self) -> str:
         """Readable form like "x[1,1]x[2,2] − x[1,2]x[2,1]"; same term order
         and sign conventions as UglElement.text()."""
-        if not self.terms:
-            return "0"
         d = self.d
-        pieces = []
-        for exp, coeff in self.sorted_terms():
-            factors = []
-            for idx, e in enumerate(exp):
-                if e:
-                    i, phi = idx // d + 1, idx % d + 1
-                    factors.append(f"x[{i},{phi}]" + (f"^{e}" if e > 1 else ""))
-            body = "".join(factors)
-            mag = abs(coeff)
-            if not body:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag} · {body}"
-            if not pieces:
-                pieces.append(chunk if coeff > 0 else "−" + chunk)
-            else:
-                pieces.append((" + " if coeff > 0 else " − ") + chunk)
-        return "".join(pieces)
+        return signed_text(
+            (
+                "".join(
+                    f"x[{idx // d + 1},{idx % d + 1}]" + (f"^{e}" if e > 1 else "")
+                    for idx, e in enumerate(exp)
+                    if e
+                ),
+                coeff,
+            )
+            for exp, coeff in self.sorted_terms()
+        )
 
     def to_json(self) -> list[dict]:
         d = self.d
@@ -272,14 +250,18 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int, d: int) -> "MPoly":
-        terms: dict[ExpVec, Fraction] = {}
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
+        # one checked polynomial per entry, so a term that cancels is still checked
+        polys = []
         for entry in data:
             exp = [0] * (n * d)
             for i, phi, e in entry["monomial"]:
-                exp[(int(i) - 1) * d + (int(phi) - 1)] += int(e)
-            key = tuple(exp)
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(entry["coeff"])
-        return cls(n, d, terms)
+                i, phi = int(i), int(phi)
+                _check_words(n, d, (i,), (phi,))
+                exp[(i - 1) * d + (phi - 1)] += int(e)
+            polys.append(cls(n, d, {tuple(exp): parse_coeff(entry["coeff"])}))
+        return poly_sum(n, d, polys)
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, d={self.d}, {self.text()})"
@@ -291,13 +273,8 @@ def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
     for p in polys:
         if p.n != n or p.d != d:
             raise ValueError(f"ambient mismatch: ({n},{d}) vs ({p.n},{p.d})")
-        for exp, coeff in p.terms.items():
-            total = acc.get(exp, 0) + coeff
-            if total:
-                acc[exp] = total
-            else:
-                del acc[exp]
-    return MPoly(n, d, acc)
+        add_terms(acc, p.terms.items())
+    return MPoly.zero(n, d)._wrap(acc)
 
 
 # -- bideterminants and bitableaux ------------------------------------------
@@ -321,19 +298,13 @@ def biproduct(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> 
         return MPoly.zero(n, d)
     p = len(letters)
     sign = -1 if comb(p, 2) % 2 else 1
-    terms: dict[ExpVec, Fraction] = {}
+    terms = []
     for perm in itertools.permutations(range(p)):
         exp = [0] * (n * d)
         for s in range(p):
             exp[(letters[perm[s]] - 1) * d + (places[s] - 1)] += 1
-        key = tuple(exp)
-        coeff = Fraction(sign * permutation_sign(perm))
-        acc = terms.get(key, 0) + coeff
-        if acc:
-            terms[key] = acc
-        else:
-            del terms[key]
-    return MPoly(n, d, terms)
+        terms.append((tuple(exp), Fraction(sign * permutation_sign(perm))))
+    return MPoly.zero(n, d)._wrap(add_terms({}, terms))
 
 
 def column_monomial(n: int, d: int, lefts: Sequence[int], rights: Sequence[int]) -> MPoly:
@@ -385,11 +356,7 @@ def expand_into_columns(
         return []
     shape = left.shape
     out = []
-    per_row = [itertools.permutations(range(k)) for k in shape]
-    for perms in itertools.product(*per_row):
-        sign = 1
-        for perm in perms:
-            sign *= permutation_sign(perm)
+    for sign, perms in row_permutations(shape):
         lefts, rights = [], []
         for c in range(shape[0] if shape else 0):
             for r, k in enumerate(shape):
@@ -500,28 +467,39 @@ def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
 # -- exact linear algebra -----------------------------------------------------
 
 
+def _reduce(work: list[list[Fraction]], ncols: int) -> list[int]:
+    """Fraction-exact Gauss-Jordan elimination on the first ncols columns of
+    work, in place; any further columns (a right-hand side) ride along.
+
+    Returns the pivot columns: row r of the result has a 1 in column
+    pivots[r] and zeros above and below it, and the rows past the last
+    pivot are zero on the first ncols columns.
+    """
+    m = len(work)
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == m:
+            break
+        pivot = next((r for r in range(row, m) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[row], work[pivot] = work[pivot], work[row]
+        inv = Fraction(1) / work[row][col]
+        work[row] = [v * inv for v in work[row]]
+        for r in range(m):
+            if r != row and work[r][col]:
+                factor = work[r][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
+        pivots.append(col)
+    return pivots
+
+
 def rank_exact(matrix: list[list[Fraction]]) -> int:
     """Rank of a rational matrix by fraction-exact Gaussian elimination."""
     if not matrix:
         return 0
-    work = [row[:] for row in matrix]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = Fraction(1) / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return len(_reduce([row[:] for row in matrix], len(matrix[0])))
 
 
 def solve_exact(
@@ -535,28 +513,11 @@ def solve_exact(
     m = len(matrix)
     k = len(matrix[0]) if m else 0
     work = [matrix[r][:] + [rhs[r]] for r in range(m)]
-    row = 0
-    pivots = []
-    for col in range(k):
-        pivot = next((r for r in range(row, m) if work[r][col]), None)
-        if pivot is None:
-            raise ArithmeticError("column-deficient system: basis enumeration bug")
-        work[row], work[pivot] = work[pivot], work[row]
-        inv = Fraction(1) / work[row][col]
-        work[row] = [v * inv for v in work[row]]
-        for r in range(m):
-            if r != row and work[r][col]:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, m):
-        if work[r][k]:
-            return None
-    solution = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        solution[col] = work[r][k]
-    return solution
+    if len(_reduce(work, k)) < k:
+        raise ArithmeticError("column-deficient system: basis enumeration bug")
+    if any(work[r][k] for r in range(k, m)):
+        return None
+    return [work[r][k] for r in range(k)]
 
 
 # -- the standard basis and straightening ------------------------------------
@@ -628,29 +589,22 @@ class StdExpansion:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int, d: int) -> "StdExpansion":
+        if not isinstance(data, list):
+            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
         terms = tuple(
             (
                 Tableau.from_json(entry["left"]),
                 Tableau.from_json(entry["right"]),
-                Fraction(entry["coeff"]),
+                parse_coeff(entry["coeff"]),
             )
             for entry in data
         )
         return cls(n, d, terms)
 
     def text(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for s, t, c in self.terms:
-            body = f"({s.compact()}|{t.compact()})"
-            mag = abs(c)
-            chunk = body if mag == 1 else f"{mag} · {body}"
-            if not pieces:
-                pieces.append(chunk if c > 0 else "−" + chunk)
-            else:
-                pieces.append((" + " if c > 0 else " − ") + chunk)
-        return "".join(pieces)
+        return signed_text(
+            (f"({s.compact()}|{t.compact()})", c) for s, t, c in self.terms
+        )
 
 
 def _solve_against_family(

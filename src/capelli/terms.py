@@ -1,0 +1,57 @@
+"""Sparse exact term maps, the representation shared by every algebra here.
+
+A U(gl(n)) element, a polynomial in C[M_{n,d}] and a standard expansion are
+each a map from basis items (PBW monomials, exponent vectors, standard
+pairs) to nonzero exact rational coefficients.  This module holds what the
+three have in common: merging terms, rendering with folded signs, and
+reading a coefficient from JSON.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from numbers import Rational
+from typing import Hashable, Iterable
+
+
+def add_terms(acc: dict, items: Iterable[tuple[Hashable, Rational]]) -> dict:
+    """Add each (key, coeff) pair into acc in place, dropping every key whose
+    sum becomes zero; returns acc."""
+    for key, coeff in items:
+        total = acc.get(key, 0) + coeff
+        if total:
+            acc[key] = total
+        else:
+            acc.pop(key, None)
+    return acc
+
+
+def signed_text(pairs: Iterable[tuple[str, Rational]]) -> str:
+    """Render (body, coeff) pairs as "body − 2 · body + 3", or "0" if empty.
+
+    Unit coefficients are suppressed, an empty body is a constant term, and
+    signs are folded into the separators (U+2212 minus).
+    """
+    pieces = []
+    for body, coeff in pairs:
+        mag = abs(coeff)
+        if not body:
+            chunk = str(mag)
+        elif mag == 1:
+            chunk = body
+        else:
+            chunk = f"{mag} · {body}"
+        if pieces:
+            pieces.append((" + " if coeff > 0 else " − ") + chunk)
+        else:
+            pieces.append(chunk if coeff > 0 else "−" + chunk)
+    return "".join(pieces) or "0"
+
+
+def parse_coeff(raw) -> Fraction:
+    """A JSON coefficient ("3", "-1/2", 2) as a Fraction; ValueError unless it
+    is a finite rational."""
+    try:
+        return Fraction(raw)
+    except ArithmeticError:  # "1/0", or a JSON Infinity
+        raise ValueError(f"coefficient {raw!r} is not a finite rational") from None

@@ -124,9 +124,12 @@ def test_scalar_arithmetic():
 @settings(deadline=None)
 @given(element_strategy(), element_strategy())
 def test_integral_coefficients_are_stored_as_ints(x, y):
-    for z in (x + y, x - y, x * y, x * 3, x / 2, x / 2 * 2, y * Fraction(3, 2)):
+    halves = element_sum(x.n, (x / 2, x / 2, y))
+    for z in (x + y, x - y, x * y, x * 3, x / 2, x / 2 * 2, y * Fraction(3, 2), halves):
         for coeff in z.terms.values():
             assert type(coeff) is int or coeff.denominator != 1, z
+    assert halves == x + y
+    assert element_sum(x.n, (x, -x)) == UglElement.zero(x.n)
 
 
 def test_casimir_elements_are_central():

@@ -158,6 +158,38 @@ def test_poly_json_round_trip(p):
     assert MPoly.from_json(data, p.n, p.d) == p
 
 
+_BAD_TERM_LISTS = [
+    {},  # an object, not a list: was read as zero
+    [{"coeff": "1/0"}],  # was a bare ZeroDivisionError
+    [{"coeff": float("inf")}],  # a JSON Infinity
+    [{"coeff": float("nan")}],  # a JSON NaN
+]
+
+
+@pytest.mark.parametrize("data", _BAD_TERM_LISTS)
+def test_poly_from_json_rejects_bad_input(data):
+    if isinstance(data, list):
+        data = [dict(entry, monomial=[[1, 1, 1]]) for entry in data]
+    with pytest.raises(ValueError):
+        MPoly.from_json(data, 2, 2)
+
+
+@pytest.mark.parametrize("data", _BAD_TERM_LISTS)
+def test_std_expansion_from_json_rejects_bad_input(data):
+    if isinstance(data, list):
+        data = [dict(entry, left=[[1]], right=[[1]]) for entry in data]
+    with pytest.raises(ValueError):
+        StdExpansion.from_json(data, 2, 2)
+
+
+@pytest.mark.parametrize("i, phi", [(0, 1), (3, 1), (1, 0), (1, 3)])
+def test_poly_from_json_rejects_out_of_range_variables(i, phi):
+    # (0|1) once indexed the last variable, (1|3) the next row's first one
+    cancelling = [{"coeff": c, "monomial": [[i, phi, 1]]} for c in ("1", "-1")]
+    with pytest.raises(ValueError):
+        MPoly.from_json(cancelling, 2, 2)
+
+
 def test_poly_text_conventions():
     p = -var(1, 1) * var(1, 1) + var(2, 2) * Fraction(1, 2)
     assert p.text() == "−x[1,1]^2 + 1/2 · x[2,2]"
@@ -289,10 +321,19 @@ def test_imm_operator_on_column_monomial():
 # -- exact linear algebra ----------------------------------------------------
 
 
+def rational(rows):
+    return [[Fraction(v) for v in row] for row in rows]
+
+
 def test_rank_exact_known():
     assert rank_exact([]) == 0
     assert rank_exact([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert rank_exact([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]) == 2
+    assert rank_exact(rational([[0, 1], [0, 2]])) == 1  # a zero column is skipped
+    assert rank_exact(rational([[1, 2], [2, 4], [0, 1]])) == 2  # tall
+    # wide: every row holds a pivot before the columns run out
+    assert rank_exact(rational([[1, 2, 3]])) == 1
+    assert rank_exact(rational([[0, 0, 1], [0, 1, 1]])) == 2
 
 
 def test_solve_exact_unique_solution():
@@ -300,6 +341,12 @@ def test_solve_exact_unique_solution():
     rhs = [Fraction(4), Fraction(5)]
     x, y = solve_exact(matrix, rhs)
     assert (x, y) == (Fraction(2), Fraction(1))
+
+
+def test_solve_exact_consistent_overdetermined_system():
+    matrix = rational([[1, 0], [0, 1], [1, 1]])
+    rhs = [Fraction(2), Fraction(-1, 3), Fraction(5, 3)]
+    assert solve_exact(matrix, rhs) == [Fraction(2), Fraction(-1, 3)]
 
 
 def test_solve_exact_inconsistent_returns_none():
@@ -311,6 +358,9 @@ def test_solve_exact_rejects_rank_deficient_columns():
     matrix = [[Fraction(1), Fraction(1)]]
     with pytest.raises(ArithmeticError):
         solve_exact(matrix, [Fraction(1)])
+    zero_column = rational([[0, 1], [0, 2], [0, 0]])
+    with pytest.raises(ArithmeticError):
+        solve_exact(zero_column, rational([[1, 2, 0]])[0])
 
 
 # -- standard basis and straightening ----------------------------------------
