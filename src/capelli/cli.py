@@ -33,7 +33,6 @@ from .elements import (
     schur_element_dyc,
     standard_capelli_expansion,
     young_capelli,
-    young_capelli_basis,
 )
 from .enveloping import UglElement
 from .polynomials import (

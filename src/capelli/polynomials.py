@@ -607,22 +607,29 @@ class StdExpansion:
         )
 
 
+def _degrees(word: Sequence[int], size: int) -> tuple[int, ...]:
+    """Multiplicity of each symbol 1..size in a word."""
+    return tuple(word.count(symbol) for symbol in range(1, size + 1))
+
+
 def _solve_against_family(
-    p: MPoly, family: list[tuple[tuple[Tableau, Tableau], MPoly]]
+    p: MPoly, pairs: list[tuple[Tableau, Tableau]], build
 ) -> dict[tuple[Tableau, Tableau], Fraction]:
-    """Expand p over a family of bihomogeneous polynomials indexed by tableau
-    pairs, solving one exact system per (row content, column content) block."""
-    blocks: dict[tuple, dict] = {}
-    for (s, t), poly in family:
-        if not poly:
-            continue
-        exp0 = next(iter(poly.terms))
-        key = (poly.row_degrees(exp0), poly.col_degrees(exp0))
-        blocks.setdefault(key, {})[(s, t)] = poly
+    """Expand p over the polynomials build(n, d, S, T) of the given tableau
+    pairs, solving one exact system per (row content, column content) block.
+
+    build(n, d, S, T) has row content content(S) and column content
+    content(T), so only the pairs in the blocks p meets are built.
+    """
     targets: dict[tuple, dict[ExpVec, Fraction]] = {}
     for exp, coeff in p.terms.items():
         key = (p.row_degrees(exp), p.col_degrees(exp))
         targets.setdefault(key, {})[exp] = coeff
+    blocks: dict[tuple, list[tuple[Tableau, Tableau]]] = {}
+    for s, t in pairs:
+        key = (_degrees(s.word(), p.n), _degrees(t.word(), p.d))
+        if key in targets:
+            blocks.setdefault(key, []).append((s, t))
     result: dict[tuple[Tableau, Tableau], Fraction] = {}
     for key, target in targets.items():
         block = blocks.get(key)
@@ -630,13 +637,10 @@ def _solve_against_family(
             raise ArithmeticError(
                 f"no basis vectors with content {key}: basis enumeration bug"
             )
-        pairs = sorted(block, key=lambda st: straight_key(*st))
-        monomials = sorted(
-            set(target) | {exp for st in pairs for exp in block[st].terms}
-        )
+        polys = [build(p.n, p.d, s, t) for s, t in block]
+        monomials = sorted(set(target) | {exp for poly in polys for exp in poly.terms})
         matrix = [
-            [block[st].terms.get(exp, Fraction(0)) for st in pairs]
-            for exp in monomials
+            [poly.terms.get(exp, Fraction(0)) for poly in polys] for exp in monomials
         ]
         rhs = [target.get(exp, Fraction(0)) for exp in monomials]
         solution = solve_exact(matrix, rhs)
@@ -644,7 +648,7 @@ def _solve_against_family(
             raise ArithmeticError(
                 f"inconsistent system for content {key}: basis enumeration bug"
             )
-        for st, coeff in zip(pairs, solution):
+        for st, coeff in zip(block, solution):
             if coeff:
                 result[st] = coeff
     return result
@@ -656,11 +660,8 @@ def straighten(p: MPoly) -> StdExpansion:
         raise ValueError("straighten requires a homogeneous polynomial")
     if not p:
         return StdExpansion(p.n, p.d, ())
-    h = p.total_degree()
-    family = [
-        ((s, t), bitableau(p.n, p.d, s, t)) for s, t in standard_pairs(h, p.n, p.d)
-    ]
-    coeffs = _solve_against_family(p, family)
+    pairs = standard_pairs(p.total_degree(), p.n, p.d)
+    coeffs = _solve_against_family(p, pairs, bitableau)
     return StdExpansion(
         p.n, p.d, tuple((s, t, c) for (s, t), c in coeffs.items())
     )
@@ -673,12 +674,8 @@ def gc_coordinates(p: MPoly) -> dict[tuple[Tableau, Tableau], Fraction]:
         raise ValueError("gc_coordinates requires a homogeneous polynomial")
     if not p:
         return {}
-    h = p.total_degree()
-    family = [
-        ((s, t), right_symmetrized(p.n, p.d, s, t))
-        for s, t in standard_pairs(h, p.n, p.d)
-    ]
-    return _solve_against_family(p, family)
+    pairs = standard_pairs(p.total_degree(), p.n, p.d)
+    return _solve_against_family(p, pairs, right_symmetrized)
 
 
 # -- polarization: the differential-operator model of U(gl(n)) ---------------

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capelli import elements
 from capelli.enveloping import UglElement, element_sum
 from capelli.polynomials import (
     MPoly,
@@ -14,6 +15,7 @@ from capelli.polynomials import (
     bitableau,
     column_sign,
     right_symmetrized,
+    solve_exact,
     standard_pairs,
 )
 from capelli.elements import (
@@ -283,6 +285,81 @@ def test_expansion_of_generators_is_degree_one():
         for j in range(1, 3):
             expansion = standard_capelli_expansion(gen(n, i, j))
             assert all(s.weight == 1 for s, _, _ in expansion.terms)
+
+
+# -- the weight-blocked expansion against one dense system per degree ---------
+
+
+def dense_expansion(x):
+    """Expansion coefficients from one system over the whole weight-k basis
+    per degree, with no blocking and no memo."""
+    n = x.n
+    coeffs = {}
+    residual = x
+    degree = residual.filtration_degree()
+    while degree is not None:
+        pairs = young_capelli_basis(degree, n)
+        elems = [young_capelli(s, t, n) for s, t in pairs]
+        monomials = sorted(
+            {mono for elem in elems for mono in elem.terms if len(mono) == degree}
+            | {mono for mono in residual.terms if len(mono) == degree}
+        )
+        matrix = [[elem.terms.get(mono, 0) for elem in elems] for mono in monomials]
+        rhs = [residual.terms.get(mono, 0) for mono in monomials]
+        solution = solve_exact(matrix, rhs)
+        assert solution is not None
+        for pair, elem, coeff in zip(pairs, elems, solution):
+            if coeff:
+                coeffs[pair] = coeff
+                residual = residual - elem * coeff
+        new_degree = residual.filtration_degree()
+        assert new_degree is None or new_degree < degree
+        degree = new_degree
+    return coeffs
+
+
+MIXED_WEIGHTS = [
+    lambda: column_capelli((1, 2), (2, 3), 3)
+    + gen(3, 3, 1) * 2
+    + gen(3, 1, 1) * gen(3, 2, 2)
+    - gen(3, 1, 2),
+    lambda: capelli_immanant((2, 1), (1, 2, 3), (3, 1, 2), 3)
+    + column_capelli((1, 1), (2, 3), 3) * Fraction(-1, 3)
+    + UglElement.scalar(3, 5),
+    lambda: young_capelli(Tableau(((1, 3), (2,))), Tableau(((2, 3), (3,))), 3)
+    - gen(3, 2, 1) * gen(3, 1, 3),
+]
+
+
+@pytest.mark.parametrize("build", MIXED_WEIGHTS, ids=["column", "immanant", "young"])
+def test_blocked_expansion_matches_dense_solve(build, monkeypatch):
+    x = build()
+    assert len({len(mono) for mono in x.terms}) > 1
+    monkeypatch.setattr(elements, "_basis_memo", {})
+    cold = standard_capelli_expansion(x)
+    assert elements._basis_memo
+    warm = standard_capelli_expansion(x)
+    assert cold == warm
+    assert {(s, t): c for s, t, c in cold.terms} == dense_expansion(x)
+    rebuilt = element_sum(3, (young_capelli(s, t, 3) * c for s, t, c in cold.terms))
+    assert rebuilt == x
+
+
+@pytest.mark.parametrize(
+    "h, n, index",
+    [(2, 2, k) for k in range(len(young_capelli_basis(2, 2)))] + [(3, 3, 70)],
+)
+def test_expansion_raises_when_the_basis_misses_a_pair(h, n, index, monkeypatch):
+    s, t = young_capelli_basis(h, n)[index]
+    x = young_capelli(s, t, n)
+    monkeypatch.setattr(elements, "_basis_memo", {})
+    monkeypatch.setattr(
+        elements,
+        "young_capelli_basis",
+        lambda *args: [pair for pair in young_capelli_basis(*args) if pair != (s, t)],
+    )
+    with pytest.raises(ArithmeticError):
+        standard_capelli_expansion(x)
 
 
 # -- the assembled families against literal sums ------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from capelli import polynomials
 from capelli.enveloping import UglElement
 from capelli.polynomials import (
     MPoly,
@@ -428,15 +429,62 @@ def test_bitableau_vanishes_on_repeated_row_entries():
 
 
 def test_gc_coordinates_inverts_symmetrized_combinations():
-    pairs = standard_pairs(3, 3, 3)[:5]
-    coeffs = [Fraction(k - 2, 3) for k in range(5)]
+    pairs = standard_pairs(3, 3, 3)
+    blocks = {}
+    for s, t in pairs:
+        blocks.setdefault((s.content(), t.content()), []).append((s, t))
+    # five one-pair blocks and two blocks of several pairs each
+    chosen = pairs[:5] + blocks[(((1, 1), (2, 1), (3, 1)),) * 2] + blocks[
+        (((1, 2), (2, 1)), ((1, 1), (2, 1), (3, 1)))
+    ]
+    assert sum(len(b) > 1 for b in blocks.values() if set(b) <= set(chosen)) >= 2
+    coeffs = [Fraction(k - 2, 3) for k in range(len(chosen))]
     combo = poly_sum(
         3,
         3,
-        (right_symmetrized(3, 3, s, t) * c for (s, t), c in zip(pairs, coeffs)),
+        (right_symmetrized(3, 3, s, t) * c for (s, t), c in zip(chosen, coeffs)),
     )
-    expected = {(s, t): c for (s, t), c in zip(pairs, coeffs) if c}
+    expected = {(s, t): c for (s, t), c in zip(chosen, coeffs) if c}
     assert gc_coordinates(combo) == expected
+
+
+def test_straighten_mixed_contents_is_linear():
+    parts = [
+        (bitableau(3, 3, Tableau(((1, 2), (3,))), Tableau(((2, 3), (1,)))), 1),
+        (bitableau(3, 3, Tableau(((2, 1), (1,))), Tableau(((3, 1), (2,)))), -2),
+        (
+            bitableau(3, 3, Tableau(((3,), (1,), (3,))), Tableau(((2,), (2,), (1,)))),
+            Fraction(1, 2),
+        ),
+    ]
+    assert all(b for b, _ in parts)
+    contents = {
+        (b.row_degrees(exp), b.col_degrees(exp)) for b, _ in parts for exp in b.terms
+    }
+    assert len(contents) == 3
+    p = poly_sum(3, 3, (b * c for b, c in parts))
+    separate = {}
+    for b, c in parts:
+        for s, t, k in straighten(b).terms:
+            separate[(s, t)] = separate.get((s, t), 0) + c * k
+    expansion = straighten(p)
+    summed = tuple((s, t, k) for (s, t), k in separate.items())
+    assert expansion == StdExpansion(3, 3, summed)
+    assert expansion.to_polynomial() == p
+
+
+@pytest.mark.parametrize("index", range(len(standard_pairs(2, 2, 2))))
+def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
+    s, t = standard_pairs(2, 2, 2)[index]
+    monkeypatch.setattr(
+        polynomials,
+        "standard_pairs",
+        lambda *args: [pair for pair in standard_pairs(*args) if pair != (s, t)],
+    )
+    with pytest.raises(ArithmeticError):
+        straighten(bitableau(2, 2, s, t))
+    with pytest.raises(ArithmeticError):
+        gc_coordinates(right_symmetrized(2, 2, s, t))
 
 
 def test_straighten_multi_term_example():
