@@ -21,10 +21,12 @@ from .enveloping import Coeff, UglElement, element_sum
 from .polynomials import (
     MPoly,
     StdExpansion,
+    _solve_against_family,
     column_sign,
     expand_into_columns,
     poly_sum,
     right_symmetrized,
+    # unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
     solve_exact,
     standard_pairs,
 )
@@ -380,75 +382,34 @@ def young_capelli_basis(h: int, n: int) -> list[tuple[Tableau, Tableau]]:
     return standard_pairs(h, n, n)
 
 
-def _weight(pairs, n: int) -> tuple[int, ...]:
-    """gl(n) weight sum of (eps_i - eps_j) over the (i, j) pairs: of a PBW
-    monomial, or of a tableau pair zipped along its row words."""
-    weight = [0] * n
-    for i, j in pairs:
-        weight[i - 1] += 1
-        weight[j - 1] -= 1
-    return tuple(weight)
-
-
-# (k, n, weight) -> the weight-k standard pairs of that weight, their
-# Young-Capelli elements, their sorted length-k monomials and the matrix of
-# those top coefficients
-_basis_memo: dict[tuple, tuple] = {}
-
-
-def _basis_block(k: int, n: int, weight: tuple[int, ...]) -> tuple:
-    key = (k, n, weight)
-    block = _basis_memo.get(key)
-    if block is None:
-        pairs = [
-            (s, t)
-            for s, t in young_capelli_basis(k, n)
-            if _weight(zip(s.word(), t.word()), n) == weight
-        ]
-        elems = [young_capelli(s, t, n) for s, t in pairs]
-        monomials = sorted(
-            {mono for elem in elems for mono in elem.terms if len(mono) == k}
-        )
-        matrix = [[elem.terms.get(mono, 0) for elem in elems] for mono in monomials]
-        block = _basis_memo[key] = (pairs, elems, monomials, matrix)
-    return block
-
-
 def standard_capelli_expansion(x: UglElement) -> StdExpansion:
     """Unique expansion of x over standard Young-Capelli elements [S|box T]
     of weight at most the filtration degree of x.
 
-    Solved degree by degree from the top: the weight-k basis elements have
-    PBW top terms of length k, so matching the degree-k part of the residual
-    determines their coefficients; the lower-degree tail is subtracted and
-    the process repeats.  Commutation preserves the gl(n) weight, so every
-    term of [S|box T] has weight content(S) - content(T), and the degree-k
-    system splits into one block per weight, memoized across calls.
+    Solved degree by degree from the top.  The length-k part of a weight-k
+    element [S|box T] is the right symmetrized bitableau (S|box T) read with
+    (i|j) -> e_ij, so the Gordan-Capelli coordinates of the length-k part of
+    the residual are the degree-k coefficients; their elements are
+    subtracted and the process repeats on the lower-degree remainder.
     """
     n = x.n
     terms: list[tuple[Tableau, Tableau, Fraction]] = []
     residual = x
     degree = residual.filtration_degree()
-    while degree is not None and degree >= 0:
-        targets: dict[tuple[int, ...], dict] = {}
-        for mono, coeff in residual.terms.items():
-            if len(mono) == degree:
-                targets.setdefault(_weight(mono, n), {})[mono] = coeff
+    while degree is not None:
+        top = poly_sum(
+            n,
+            n,
+            (
+                MPoly.monomial(n, n, mono) * coeff
+                for mono, coeff in residual.terms.items()
+                if len(mono) == degree
+            ),
+        )
         found = [residual]
-        for weight, target in targets.items():
-            pairs, elems, monomials, matrix = _basis_block(degree, n, weight)
-            rhs = [target.pop(mono, 0) for mono in monomials]
-            # a monomial left in target occurs in no basis element of this weight
-            solution = None if target else solve_exact(matrix, rhs)
-            if solution is None:
-                raise ArithmeticError(
-                    f"degree-{degree} top terms of weight {weight} not in the "
-                    "basis span: basis bug"
-                )
-            for (s, t), elem, coeff in zip(pairs, elems, solution):
-                if coeff:
-                    terms.append((s, t, coeff))
-                    found.append(elem * -coeff)
+        for (s, t), coeff in _solve_against_family(top, right_symmetrized).items():
+            terms.append((s, t, coeff))
+            found.append(young_capelli(s, t, n) * -coeff)
         residual = element_sum(n, found)
         new_degree = residual.filtration_degree()
         if new_degree is not None and new_degree >= degree:

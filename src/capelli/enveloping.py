@@ -160,6 +160,10 @@ class UglElement:
             q = _exact(other)
             if not q:
                 return UglElement.zero(self.n)
+            if q == 1:
+                return self
+            if q == -1:
+                return -self
             return self._wrap(
                 _settle({mono: coeff * q for mono, coeff in self.terms.items()})
             )

@@ -612,43 +612,67 @@ def _degrees(word: Sequence[int], size: int) -> tuple[int, ...]:
     return tuple(word.count(symbol) for symbol in range(1, size + 1))
 
 
-def _solve_against_family(
-    p: MPoly, pairs: list[tuple[Tableau, Tableau]], build
-) -> dict[tuple[Tableau, Tableau], Fraction]:
-    """Expand p over the polynomials build(n, d, S, T) of the given tableau
-    pairs, solving one exact system per (row content, column content) block.
+Content = tuple[tuple[int, ...], tuple[int, ...]]
 
-    build(n, d, S, T) has row content content(S) and column content
-    content(T), so only the pairs in the blocks p meets are built.
-    """
-    targets: dict[tuple, dict[ExpVec, Fraction]] = {}
-    for exp, coeff in p.terms.items():
-        key = (p.row_degrees(exp), p.col_degrees(exp))
-        targets.setdefault(key, {})[exp] = coeff
-    blocks: dict[tuple, list[tuple[Tableau, Tableau]]] = {}
-    for s, t in pairs:
-        key = (_degrees(s.word(), p.n), _degrees(t.word(), p.d))
-        if key in targets:
-            blocks.setdefault(key, []).append((s, t))
-    result: dict[tuple[Tableau, Tableau], Fraction] = {}
-    for key, target in targets.items():
-        block = blocks.get(key)
-        if not block:
-            raise ArithmeticError(
-                f"no basis vectors with content {key}: basis enumeration bug"
-            )
-        polys = [build(p.n, p.d, s, t) for s, t in block]
-        monomials = sorted(set(target) | {exp for poly in polys for exp in poly.terms})
+# (h, n, d) -> the weight-h standard pairs grouped by (row content, column
+# content), in straightening order within each group
+_pairs_memo: dict[tuple[int, int, int], dict[Content, list]] = {}
+
+# (build, n, d, content) -> the standard pairs of that content, the sorted
+# monomials of their polynomials build(n, d, S, T) and the matrix of their
+# coefficients
+_block_memo: dict[tuple, tuple] = {}
+
+
+def _pairs_by_content(h: int, n: int, d: int) -> dict[Content, list]:
+    groups = _pairs_memo.get((h, n, d))
+    if groups is None:
+        groups = {}
+        for s, t in standard_pairs(h, n, d):
+            key = (_degrees(s.word(), n), _degrees(t.word(), d))
+            groups.setdefault(key, []).append((s, t))
+        _pairs_memo[(h, n, d)] = groups
+    return groups
+
+
+def _family_block(build, n: int, d: int, content: Content) -> tuple:
+    key = (build, n, d, content)
+    block = _block_memo.get(key)
+    if block is None:
+        pairs = _pairs_by_content(sum(content[0]), n, d).get(content, [])
+        polys = [build(n, d, s, t) for s, t in pairs]
+        monomials = sorted({exp for poly in polys for exp in poly.terms})
         matrix = [
             [poly.terms.get(exp, Fraction(0)) for poly in polys] for exp in monomials
         ]
-        rhs = [target.get(exp, Fraction(0)) for exp in monomials]
-        solution = solve_exact(matrix, rhs)
+        block = _block_memo[key] = (pairs, monomials, matrix)
+    return block
+
+
+def _solve_against_family(p: MPoly, build) -> dict[tuple[Tableau, Tableau], Fraction]:
+    """Expand a homogeneous p over the polynomials build(n, d, S, T) of the
+    standard pairs, solving one exact system per (row content, column
+    content) block.
+
+    build(n, d, S, T) has row content content(S) and column content
+    content(T), so only the blocks p meets are solved; each block is built
+    once per process and reused by later calls.
+    """
+    targets: dict[Content, dict[ExpVec, Fraction]] = {}
+    for exp, coeff in p.terms.items():
+        key = (p.row_degrees(exp), p.col_degrees(exp))
+        targets.setdefault(key, {})[exp] = coeff
+    result: dict[tuple[Tableau, Tableau], Fraction] = {}
+    for key, target in targets.items():
+        pairs, monomials, matrix = _family_block(build, p.n, p.d, key)
+        rhs = [target.pop(exp, Fraction(0)) for exp in monomials]
+        # a monomial left in target occurs in no polynomial of the block
+        solution = None if target else solve_exact(matrix, rhs)
         if solution is None:
             raise ArithmeticError(
                 f"inconsistent system for content {key}: basis enumeration bug"
             )
-        for st, coeff in zip(block, solution):
+        for st, coeff in zip(pairs, solution):
             if coeff:
                 result[st] = coeff
     return result
@@ -658,10 +682,7 @@ def straighten(p: MPoly) -> StdExpansion:
     """Unique expansion of a homogeneous polynomial over standard bitableaux."""
     if not p.is_homogeneous():
         raise ValueError("straighten requires a homogeneous polynomial")
-    if not p:
-        return StdExpansion(p.n, p.d, ())
-    pairs = standard_pairs(p.total_degree(), p.n, p.d)
-    coeffs = _solve_against_family(p, pairs, bitableau)
+    coeffs = _solve_against_family(p, bitableau)
     return StdExpansion(
         p.n, p.d, tuple((s, t, c) for (s, t), c in coeffs.items())
     )
@@ -672,10 +693,7 @@ def gc_coordinates(p: MPoly) -> dict[tuple[Tableau, Tableau], Fraction]:
     symmetrized bitableaux (the Gordan-Capelli basis)."""
     if not p.is_homogeneous():
         raise ValueError("gc_coordinates requires a homogeneous polynomial")
-    if not p:
-        return {}
-    pairs = standard_pairs(p.total_degree(), p.n, p.d)
-    return _solve_against_family(p, pairs, right_symmetrized)
+    return _solve_against_family(p, right_symmetrized)
 
 
 # -- polarization: the differential-operator model of U(gl(n)) ---------------

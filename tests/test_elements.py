@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capelli import elements
+from capelli import polynomials
 from capelli.enveloping import UglElement, element_sum
 from capelli.polynomials import (
     MPoly,
@@ -287,7 +287,7 @@ def test_expansion_of_generators_is_degree_one():
             assert all(s.weight == 1 for s, _, _ in expansion.terms)
 
 
-# -- the weight-blocked expansion against one dense system per degree ---------
+# -- the blocked expansion against one dense system per degree ----------------
 
 
 def dense_expansion(x):
@@ -335,9 +335,10 @@ MIXED_WEIGHTS = [
 def test_blocked_expansion_matches_dense_solve(build, monkeypatch):
     x = build()
     assert len({len(mono) for mono in x.terms}) > 1
-    monkeypatch.setattr(elements, "_basis_memo", {})
+    monkeypatch.setattr(polynomials, "_pairs_memo", {})
+    monkeypatch.setattr(polynomials, "_block_memo", {})
     cold = standard_capelli_expansion(x)
-    assert elements._basis_memo
+    assert polynomials._block_memo
     warm = standard_capelli_expansion(x)
     assert cold == warm
     assert {(s, t): c for s, t, c in cold.terms} == dense_expansion(x)
@@ -352,14 +353,30 @@ def test_blocked_expansion_matches_dense_solve(build, monkeypatch):
 def test_expansion_raises_when_the_basis_misses_a_pair(h, n, index, monkeypatch):
     s, t = young_capelli_basis(h, n)[index]
     x = young_capelli(s, t, n)
-    monkeypatch.setattr(elements, "_basis_memo", {})
+    monkeypatch.setattr(polynomials, "_pairs_memo", {})
+    monkeypatch.setattr(polynomials, "_block_memo", {})
     monkeypatch.setattr(
-        elements,
-        "young_capelli_basis",
-        lambda *args: [pair for pair in young_capelli_basis(*args) if pair != (s, t)],
+        polynomials,
+        "standard_pairs",
+        lambda *args: [pair for pair in standard_pairs(*args) if pair != (s, t)],
     )
     with pytest.raises(ArithmeticError):
         standard_capelli_expansion(x)
+
+
+def test_top_part_of_young_capelli_is_right_symmetrized():
+    # the identity that lets the expansion solve against gc_coordinates' blocks
+    checked = 0
+    for n in range(1, 4):
+        for k in range(4):
+            for s, t in standard_pairs(k, n, n):
+                top = MPoly.zero(n, n)
+                for mono, coeff in young_capelli(s, t, n).terms.items():
+                    if len(mono) == k:
+                        top = top + MPoly.monomial(n, n, mono) * coeff
+                assert top == right_symmetrized(n, n, s, t), (s, t)
+                checked += 1
+    assert checked == 259
 
 
 # -- the assembled families against literal sums ------------------------------

@@ -130,6 +130,14 @@ def test_integral_coefficients_are_stored_as_ints(x, y):
             assert type(coeff) is int or coeff.denominator != 1, z
     assert halves == x + y
     assert element_sum(x.n, (x, -x)) == UglElement.zero(x.n)
+    mixed = UglElement.scalar(x.n, 2) + gen(x.n, 1, 1) / 2
+    assert {type(c) for c in mixed.terms.values()} == {int, Fraction}
+    for z in (mixed, mixed + x, halves):
+        types = {mono: type(c) for mono, c in z.terms.items()}
+        for unit in (1, -1, Fraction(1), Fraction(-1)):
+            scaled = z * unit
+            assert scaled == (z if unit == 1 else -z)
+            assert {mono: type(c) for mono, c in scaled.terms.items()} == types
 
 
 def test_casimir_elements_are_central():

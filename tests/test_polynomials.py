@@ -476,6 +476,8 @@ def test_straighten_mixed_contents_is_linear():
 @pytest.mark.parametrize("index", range(len(standard_pairs(2, 2, 2))))
 def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
     s, t = standard_pairs(2, 2, 2)[index]
+    monkeypatch.setattr(polynomials, "_pairs_memo", {})
+    monkeypatch.setattr(polynomials, "_block_memo", {})
     monkeypatch.setattr(
         polynomials,
         "standard_pairs",
@@ -485,6 +487,30 @@ def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
         straighten(bitableau(2, 2, s, t))
     with pytest.raises(ArithmeticError):
         gc_coordinates(right_symmetrized(2, 2, s, t))
+
+
+def test_block_memo_keeps_the_two_families_apart(monkeypatch):
+    # every letter and every place once: a block of several standard pairs
+    block = polynomials._pairs_by_content(3, 3, 3)[((1, 1, 1), (1, 1, 1))]
+    assert len(block) > 1
+    coeffs = {st: Fraction(k + 1, 2) for k, st in enumerate(block)}
+    p = poly_sum(3, 3, (bitableau(3, 3, s, t) * c for (s, t), c in coeffs.items()))
+    q = poly_sum(
+        3, 3, (right_symmetrized(3, 3, s, t) * c for (s, t), c in coeffs.items())
+    )
+    assert p != q
+    expected = StdExpansion(3, 3, tuple((s, t, c) for (s, t), c in coeffs.items()))
+    for straighten_first in (True, False):
+        monkeypatch.setattr(polynomials, "_pairs_memo", {})
+        monkeypatch.setattr(polynomials, "_block_memo", {})
+        if straighten_first:
+            assert straighten(p) == expected
+            assert gc_coordinates(q) == coeffs
+        else:
+            assert gc_coordinates(q) == coeffs
+            assert straighten(p) == expected
+        assert len(polynomials._block_memo) == 2
+        assert straighten(p) == expected  # warm
 
 
 def test_straighten_multi_term_example():
