@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
-from .terms import add_terms, parse_coeff, signed_text
+from .terms import add_terms, parse_coeff, parse_int, signed_text
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
@@ -250,13 +250,11 @@ class UglElement:
         if not isinstance(data, list):
             raise ValueError(f"expected a list of terms, got {type(data).__name__}")
         # one checked element per entry, so a term that cancels is still checked
-        return element_sum(
-            n,
-            (
-                cls(n, {tuple(map(tuple, t["monomial"])): parse_coeff(t["coeff"])})
-                for t in data
-            ),
-        )
+        def term(entry: dict) -> "UglElement":
+            mono = tuple(tuple(map(parse_int, g)) for g in entry["monomial"])
+            return cls(n, {mono: parse_coeff(entry["coeff"])})
+
+        return element_sum(n, map(term, data))
 
     def __repr__(self) -> str:
         return f"UglElement(n={self.n}, {self.text()})"

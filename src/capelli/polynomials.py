@@ -30,7 +30,7 @@ from .tableaux import (
     permutation_sign,
     row_permutations,
 )
-from .terms import add_terms, parse_coeff, signed_text
+from .terms import add_terms, parse_coeff, parse_int, signed_text
 
 ExpVec = tuple[int, ...]
 
@@ -257,9 +257,9 @@ class MPoly:
         for entry in data:
             exp = [0] * (n * d)
             for i, phi, e in entry["monomial"]:
-                i, phi = int(i), int(phi)
+                i, phi, e = parse_int(i), parse_int(phi), parse_int(e)
                 _check_words(n, d, (i,), (phi,))
-                exp[(i - 1) * d + (phi - 1)] += int(e)
+                exp[(i - 1) * d + (phi - 1)] += e
             polys.append(cls(n, d, {tuple(exp): parse_coeff(entry["coeff"])}))
         return poly_sum(n, d, polys)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .terms import parse_int
+
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -140,7 +142,7 @@ class Tableau:
     def from_json(cls, data) -> "Tableau":
         if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
             raise ValueError(f"tableau must be a list of row lists: {data!r}")
-        return cls(tuple(tuple(row) for row in data))
+        return cls(tuple(tuple(map(parse_int, row)) for row in data))
 
     @classmethod
     def from_word(cls, shape, word) -> "Tableau":
@@ -155,20 +157,10 @@ class Tableau:
         return cls(tuple(rows))
 
 
-def _fillings(shape, n):
-    """All fillings of the shape over 1..n, ordered by row word."""
-    shape = check_partition(shape)
-    h = sum(shape)
-    for word in itertools.product(range(1, n + 1), repeat=h):
-        yield Tableau.from_word(shape, word)
-
-
 def enumerate_standard(shape, n: int) -> list[Tableau]:
-    """All standard tableaux of the shape over 1..n, in row-word order.
-
-    Brute-force filter over all fillings; desk-scale shapes only.
-    """
-    return [t for t in _fillings(shape, n) if t.is_standard()]
+    """All standard tableaux of the shape over 1..n, in row-word order:
+    the row-strict tableaux whose columns weakly increase."""
+    return [t for t in enumerate_row_strict(shape, n) if t.is_standard()]
 
 
 def enumerate_row_strict(shape, n: int) -> list[Tableau]:

@@ -4,7 +4,7 @@ A U(gl(n)) element, a polynomial in C[M_{n,d}] and a standard expansion are
 each a map from basis items (PBW monomials, exponent vectors, standard
 pairs) to nonzero exact rational coefficients.  This module holds what the
 three have in common: merging terms, rendering with folded signs, and
-reading a coefficient from JSON.
+reading a coefficient or an integer from JSON.
 """
 
 from __future__ import annotations
@@ -55,3 +55,11 @@ def parse_coeff(raw) -> Fraction:
         return Fraction(raw)
     except ArithmeticError:  # "1/0", or a JSON Infinity
         raise ValueError(f"coefficient {raw!r} is not a finite rational") from None
+
+
+def parse_int(raw) -> int:
+    """A JSON index or exponent as an int; ValueError for anything but a JSON
+    integer (1.5, true and "1" are not read as 1)."""
+    if type(raw) is not int:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return raw

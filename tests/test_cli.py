@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from capelli import cli
+from capelli import cli, verify
 from capelli.elements import quantum_immanant, schur_element
 from capelli.enveloping import UglElement
 
@@ -128,6 +128,7 @@ def test_expand_standard_bad_element_exits_2():
     [
         '[{"coeff": "1/0", "monomial": [[1, 1]]}]',
         "{}",
+        '[{"coeff": "1", "monomial": [[1.5, 1]]}]',  # was read as e[1,1]
     ],
 )
 def test_expand_standard_rejects_malformed_json_with_one_line(element):
@@ -136,6 +137,15 @@ def test_expand_standard_rejects_malformed_json_with_one_line(element):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: bad element: ")
     assert proc.stderr.count("\n") == 1
+
+
+def test_straighten_rejects_non_integer_entry():
+    # was read as [[1]] and printed (1|1)
+    proc = run_cli(
+        "straighten", "--left", "[[1.5]]", "--right", "[[1]]", "--n", "2", "--d", "2"
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(
@@ -161,6 +171,7 @@ def test_verify_reports_pass(capsys):
     assert report["suite"] == "central"
     assert all(c["status"] == "pass" for c in report["checks"])
     assert all(c["cases"] > 0 for c in report["checks"])
+    assert verify.run("central", max_h=2, max_n=2, n=2, d=2) == report
 
 
 def test_verify_all_runs_every_suite(capsys):
@@ -176,11 +187,13 @@ def test_verify_all_runs_every_suite(capsys):
         "bases",
         "projectors",
     ]
+    assert names == list(verify.SUITES)
+    assert verify.run("all", max_h=2, max_n=2, n=2, d=2) == report
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(
-        cli, "_check_central", lambda max_h, max_n: (7, "synthetic counterexample")
+        verify, "check_central", lambda max_h, max_n: (7, "synthetic counterexample")
     )
     code = cli.main(["verify", "central"])
     report = json.loads(capsys.readouterr().out)

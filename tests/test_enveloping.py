@@ -201,6 +201,15 @@ def test_json_coefficients_are_ascii_fractions():
     assert payload == [{"coeff": "-1/2", "monomial": [[1, 1]]}]
 
 
+@pytest.mark.parametrize("index", [1.5, True, "1"])
+def test_from_json_accepts_json_integer_indices_only(index):
+    # each was once read as the index 1
+    with pytest.raises(ValueError):
+        UglElement.from_json([{"coeff": "1", "monomial": [[index, 1]]}], 2)
+    with pytest.raises(ValueError):
+        UglElement.from_json([{"coeff": "1", "monomial": [[1, index]]}], 2)
+
+
 def test_from_json_rejects_garbage():
     with pytest.raises((ValueError, TypeError, KeyError)):
         UglElement.from_json([{"coeff": "1"}], 2)

@@ -191,6 +191,16 @@ def test_poly_from_json_rejects_out_of_range_variables(i, phi):
         MPoly.from_json(cancelling, 2, 2)
 
 
+@pytest.mark.parametrize("value", [1.5, True, "1"])
+@pytest.mark.parametrize("slot", range(3))
+def test_poly_from_json_accepts_json_integers_only(value, slot):
+    # each was once read as 1, as a letter, a place or an exponent
+    monomial = [1, 1, 1]
+    monomial[slot] = value
+    with pytest.raises(ValueError):
+        MPoly.from_json([{"coeff": "1", "monomial": [monomial]}], 2, 2)
+
+
 def test_poly_text_conventions():
     p = -var(1, 1) * var(1, 1) + var(2, 2) * Fraction(1, 2)
     assert p.text() == "−x[1,1]^2 + 1/2 · x[2,2]"

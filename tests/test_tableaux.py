@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -110,9 +111,27 @@ def test_tableau_json_round_trip():
     assert Tableau.from_json(t.to_json()) == t
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_tableau_from_json_accepts_json_integers_only(entry):
+    # each was once read as the entry 1
+    with pytest.raises(ValueError):
+        Tableau.from_json([[entry]])
+
+
 @given(tableau_strategy())
 def test_from_word_round_trip(t):
     assert Tableau.from_word(t.shape, t.word()) == t
+
+
+@pytest.mark.parametrize("h", range(5))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_enumerate_standard_matches_filter_over_all_fillings(h, n):
+    for shape in partitions_of(h):
+        fillings = (
+            Tableau.from_word(shape, word)
+            for word in itertools.product(range(1, n + 1), repeat=h)
+        )
+        assert enumerate_standard(shape, n) == [t for t in fillings if t.is_standard()]
 
 
 def test_enumerate_standard_counts():
