@@ -16,14 +16,20 @@ import itertools
 from fractions import Fraction
 from math import factorial, prod
 
+# unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
 from .characters import character
 from .enveloping import Coeff, UglElement, element_sum
 from .polynomials import (
+    ColumnKey,
     MPoly,
     StdExpansion,
+    _add_bitableau_columns,
+    _add_young_columns,
+    _character_support,
+    _columns_polynomial,
+    _immanant_columns,
     _solve_against_family,
     column_sign,
-    expand_into_columns,
     poly_sum,
     right_symmetrized,
     # unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
@@ -33,7 +39,6 @@ from .polynomials import (
 from .tableaux import (
     Tableau,
     check_partition,
-    column_permuted_family,
     compositions,
     conjugate,
     enumerate_row_strict,
@@ -46,11 +51,10 @@ _column_memo: dict[tuple, UglElement] = {}
 
 
 def _check_column(lefts, rights, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lefts = tuple(map(int, lefts))
-    rights = tuple(map(int, rights))
+    lefts, rights = tuple(lefts), tuple(rights)
     if len(lefts) != len(rights):
         raise ValueError("column words must have equal length")
-    if any(not 1 <= k <= n for k in lefts + rights):
+    if any(type(k) is not int or not 1 <= k <= n for k in lefts + rights):
         raise ValueError(f"column entries out of range 1..{n}")
     return lefts, rights
 
@@ -100,7 +104,7 @@ _column_alt_memo: dict[tuple, UglElement] = {}
 
 
 def column_capelli_alt(lefts, rights, n: int) -> UglElement:
-    """Independent bottom-row recursion for the same element:
+    """Oracle: checks column_capelli by the independent bottom-row recursion:
 
         [ibar|jbar] = (-1)^(h-1) [i1...i_{h-1} | j1...j_{h-1}] e_{ih,jh}
                     + (-1)^(h-2) sum_{k<h} delta_{ih,jk}
@@ -140,11 +144,11 @@ def column_capelli_alt(lefts, rights, n: int) -> UglElement:
 
 
 def column_capelli_literal(lefts, rights, n: int) -> UglElement:
-    """Top-row recursion applied to the words exactly as given.
+    """Oracle: the top-row recursion on the words exactly as given, checking
+    column_capelli's row-sorted memo.
 
     No row sorting and no memoization; exponential but tiny at desk scale.
-    Used to confirm that every derivation order of the recursion yields the
-    same element, which is what licenses the row-sorted memo above.
+    That every derivation order yields the same element licenses the memo.
     """
     lefts, rights = _check_column(lefts, rights, n)
     h = len(lefts)
@@ -169,20 +173,7 @@ def column_capelli_literal(lefts, rights, n: int) -> UglElement:
     return result
 
 
-# -- families assembled over distinct columns ---------------------------------
-#
-# Every family below is a rational combination of column elements.  Its
-# columns are first merged into one map from the row-sorted column key (the
-# key of the column memo) to a coefficient; only then is each distinct
-# column fetched once and scaled.  Many permutations give the same column,
-# so this replaces one scaled copy per permutation by one per column.
-
-ColumnKey = tuple[tuple[int, int], ...]
-
-
-def _add_column(weights: dict, lefts, rights, coeff) -> None:
-    key = tuple(sorted(zip(lefts, rights)))
-    weights[key] = weights.get(key, 0) + coeff
+# -- families assembled over distinct columns (see polynomials' column maps) --
 
 
 def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
@@ -197,18 +188,6 @@ def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
             if weight
         ),
     )
-
-
-def _add_bitableau_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
-    """Add coeff * [S|T]: the signed multipermutation expansion into columns."""
-    for sign, (lefts, rights) in expand_into_columns(left, right):
-        _add_column(weights, lefts, rights, sign * coeff)
-
-
-def _add_young_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
-    """Add coeff * [S|box T]: [S|Tbar] over the column permutations of T."""
-    for rbar in column_permuted_family(right):
-        _add_bitableau_columns(weights, left, rbar, coeff)
 
 
 def _add_double_young_columns(
@@ -251,24 +230,6 @@ def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     weights: dict[ColumnKey, int] = {}
     _add_double_young_columns(weights, left, right, 1)
     return _sum_columns(n, weights)
-
-
-def _character_support(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """(sigma, chi_shape(sigma)) for every permutation of nonzero character."""
-    support = []
-    for sigma in itertools.permutations(range(sum(shape))):
-        chi = character(shape, sigma)
-        if chi:
-            support.append((sigma, chi))
-    return support
-
-
-def _immanant_columns(support, lefts, rights) -> dict[ColumnKey, int]:
-    """The merged column map of Cimm[lefts; rights] over a character support."""
-    weights: dict[ColumnKey, int] = {}
-    for sigma, chi in support:
-        _add_column(weights, (lefts[k] for k in sigma), rights, chi)
-    return weights
 
 
 def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
@@ -322,7 +283,7 @@ def schur_element(shape, n: int) -> UglElement:
 
 
 def schur_element_dyc(shape, n: int) -> UglElement:
-    """Character-free presentation of the same element:
+    """Oracle: checks schur_element by its character-free presentation:
 
         (1/H(shape)) sum_S [box S|S]
 
@@ -423,8 +384,7 @@ def standard_capelli_expansion(x: UglElement) -> StdExpansion:
 def koszul_map(x: UglElement) -> MPoly:
     """Forward correspondence K: expand x over standard Young-Capelli
     elements and replace each [S|box T] by the polynomial (S|box T)."""
-    expansion = standard_capelli_expansion(x)
-    n = x.n
-    return poly_sum(
-        n, n, (right_symmetrized(n, n, s, t) * c for s, t, c in expansion.terms)
-    )
+    weights: dict[ColumnKey, Fraction] = {}
+    for s, t, c in standard_capelli_expansion(x).terms:
+        _add_young_columns(weights, s, t, c)
+    return _columns_polynomial(x.n, x.n, weights)

@@ -99,9 +99,9 @@ class UglElement:
         object.__setattr__(self, "n", n)
         raw = []
         for mono, coeff in (terms or {}).items():
-            mono = tuple((int(i), int(j)) for i, j in mono)
+            mono = tuple((i, j) for i, j in mono)
             for i, j in mono:
-                if not (1 <= i <= n and 1 <= j <= n):
+                if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
             raw.append((mono, _exact(coeff)))
         object.__setattr__(self, "terms", _normalize(raw))

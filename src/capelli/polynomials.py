@@ -48,8 +48,8 @@ class MPoly:
         size = n * d
         raw = []
         for exp, coeff in (terms or {}).items():
-            exp = tuple(map(int, exp))
-            if len(exp) != size or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != size or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n*d={size}")
             raw.append((exp, Fraction(coeff)))
         object.__setattr__(self, "terms", add_terms({}, raw))
@@ -367,12 +367,64 @@ def expand_into_columns(
     return out
 
 
+# -- column maps: each family merges its columns into row-sorted key -> weight;
+# _columns_polynomial realizes a map here, elements._sum_columns in U(gl(n)).
+
+ColumnKey = tuple[tuple[int, int], ...]
+
+
+def _add_column(weights: dict, lefts, rights, coeff) -> None:
+    key = tuple(sorted(zip(lefts, rights)))
+    weights[key] = weights.get(key, 0) + coeff
+
+
+def _add_bitableau_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
+    """Add coeff * (S|T): the signed multipermutation expansion into columns."""
+    for sign, (lefts, rights) in expand_into_columns(left, right):
+        _add_column(weights, lefts, rights, sign * coeff)
+
+
+def _add_young_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
+    """Add coeff * (S|box T): (S|Tbar) over the column permutations of T."""
+    for rbar in column_permuted_family(right):
+        _add_bitableau_columns(weights, left, rbar, coeff)
+
+
+def _character_support(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """(sigma, chi_shape(sigma)) for every permutation of nonzero character."""
+    support = []
+    for sigma in itertools.permutations(range(sum(shape))):
+        chi = character(shape, sigma)
+        if chi:
+            support.append((sigma, chi))
+    return support
+
+
+def _immanant_columns(support, lefts, rights) -> dict[ColumnKey, int]:
+    """The merged column map of the immanant [lefts; rights] over a support."""
+    weights: dict[ColumnKey, int] = {}
+    for sigma, chi in support:
+        _add_column(weights, (lefts[k] for k in sigma), rights, chi)
+    return weights
+
+
+def _columns_polynomial(n: int, d: int, weights: dict[ColumnKey, Rational]) -> MPoly:
+    """Sum of weight * column_bitableau over a merged column map.  Every key,
+    even one whose weight cancelled to 0, is range-checked by MPoly.monomial."""
+    columns = (
+        MPoly.monomial(n, d, key) * (w * column_sign(len(key)))
+        for key, w in weights.items()
+    )
+    return poly_sum(n, d, columns)
+
+
 def right_symmetrized(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
     """Sum of bitableau(left, rbar) over all column permutations rbar of right,
     counted with multiplicity."""
-    return poly_sum(
-        n, d, (bitableau(n, d, left, rbar) for rbar in column_permuted_family(right))
-    )
+    _check_words(n, d, left.word(), right.word())  # the map is empty if shapes differ
+    weights: dict[ColumnKey, int] = {}
+    _add_young_columns(weights, left, right, 1)
+    return _columns_polynomial(n, d, weights)
 
 
 def _row_major_blocks(shape: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -403,7 +455,7 @@ def _block_permutations(blocks: list[list[int]], h: int):
 def right_symmetrized_via_symmetrizer(
     n: int, d: int, left: Tableau, right: Tableau
 ) -> MPoly:
-    """Same polynomial as right_symmetrized, via the Young symmetrizer.
+    """Oracle: checks right_symmetrized by the Young symmetrizer route.
 
     Both tableaux are written as specializations of the row-major filling D
     with 1..h; the symmetrizer sum over the row group of D (signed) and the
@@ -439,13 +491,9 @@ def immanant(
     lefts, rights = tuple(lefts), tuple(rights)
     if len(lefts) != h or len(rights) != h:
         raise ValueError(f"index words must have length {h}")
-    terms = []
-    for sigma in itertools.permutations(range(h)):
-        chi = character(shape, sigma)
-        if chi:
-            permuted = tuple(lefts[sigma[k]] for k in range(h))
-            terms.append(column_bitableau(n, d, permuted, rights) * chi)
-    return poly_sum(n, d, terms)
+    return _columns_polynomial(
+        n, d, _immanant_columns(_character_support(shape), lefts, rights)
+    )
 
 
 def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
@@ -454,14 +502,16 @@ def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
     h = sum(shape)
     if not p.is_homogeneous() or (p and p.total_degree() != h):
         raise ValueError(f"input must be homogeneous of degree {h}")
+    support = _character_support(shape)
     sign = column_sign(h)
-    terms = []
+    weights: dict[ColumnKey, Fraction] = {}
     for exp, coeff in p.terms.items():
         pairs = p.variables_of(exp)
         lefts = tuple(i for i, _ in pairs)
         rights = tuple(phi for _, phi in pairs)
-        terms.append(immanant(p.n, p.d, shape, lefts, rights) * (coeff * sign))
-    return poly_sum(p.n, p.d, terms)
+        for key, chi in _immanant_columns(support, lefts, rights).items():
+            weights[key] = weights.get(key, 0) + chi * coeff * sign
+    return _columns_polynomial(p.n, p.d, weights)
 
 
 # -- exact linear algebra -----------------------------------------------------
@@ -732,7 +782,7 @@ def act_ugl(x, p: MPoly) -> MPoly:
 def act_column_capelli_diff(
     lefts: Sequence[int], rights: Sequence[int], p: MPoly
 ) -> MPoly:
-    """Column Capelli bitableaux as one polynomial differential operator:
+    """Oracle: checks column_capelli (via act_ugl) by one differential operator:
 
         (-1)^C(h,2) sum_phibar (i_1|phi_1)...(i_h|phi_h)
                               d/d(j_1|phi_1) ... d/d(j_h|phi_h)
@@ -758,7 +808,7 @@ def act_column_capelli_diff(
 
 
 def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
-    """The differential-operator side of the quantum immanants:
+    """Oracle: checks quantum_immanant (via act_ugl) by its differential operator:
 
         (1/dim) sum_ibar sum_sigma chi(sigma) sum_phibar
             (i_1|phi_1)...(i_h|phi_h) d/d(i_sigma(1)|phi_1)...d/d(i_sigma(h)|phi_h)

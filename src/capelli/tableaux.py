@@ -26,10 +26,10 @@ from .terms import parse_int
 
 
 def check_partition(parts) -> tuple[int, ...]:
-    """Validate and normalize a partition to a tuple of ints."""
-    parts = tuple(int(p) for p in parts)
-    if any(p <= 0 for p in parts):
-        raise ValueError(f"partition parts must be positive: {parts}")
+    """A partition as a tuple, validated; a part that is not an int is rejected."""
+    parts = tuple(parts)
+    if any(type(p) is not int or p <= 0 for p in parts):
+        raise ValueError(f"partition parts must be positive integers: {parts}")
     if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
         raise ValueError(f"partition parts must weakly decrease: {parts}")
     return parts
@@ -81,10 +81,10 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         check_partition(tuple(len(row) for row in rows))
-        if any(e <= 0 for row in rows for e in row):
+        if any(type(e) is not int or e <= 0 for row in rows for e in row):
             raise ValueError("tableau entries must be positive integers")
 
     @property

@@ -14,6 +14,7 @@ from capelli.polynomials import (
     act_ugl,
     bitableau,
     column_sign,
+    immanant,
     right_symmetrized,
     solve_exact,
     standard_pairs,
@@ -144,9 +145,12 @@ def test_column_annihilates_lower_degree():
 
 
 def test_capelli_bitableau_is_koszul_image():
-    for h in range(1, 4):
-        for s, t in standard_pairs(h, 2, 2):
-            assert capelli_bitableau(s, t, 2) == koszul_inverse(bitableau(2, 2, s, t))
+    for n in (2, 3):
+        for h in range(1, 4):
+            for s, t in standard_pairs(h, n, n):
+                assert capelli_bitableau(s, t, n) == koszul_inverse(
+                    bitableau(n, n, s, t)
+                ), (s, t)
 
 
 def test_capelli_bitableau_shape_mismatch_is_zero():
@@ -154,11 +158,12 @@ def test_capelli_bitableau_shape_mismatch_is_zero():
 
 
 def test_young_capelli_is_koszul_image_of_symmetrized():
-    for h in range(1, 4):
-        for s, t in standard_pairs(h, 2, 2):
-            assert young_capelli(s, t, 2) == koszul_inverse(
-                right_symmetrized(2, 2, s, t)
-            )
+    for n in (2, 3):
+        for h in range(1, 4):
+            for s, t in standard_pairs(h, n, n):
+                assert young_capelli(s, t, n) == koszul_inverse(
+                    right_symmetrized(n, n, s, t)
+                ), (s, t)
 
 
 def test_double_young_capelli_collapse():
@@ -463,6 +468,18 @@ def test_capelli_immanant_is_its_literal_sum(h, n):
 
 
 @pytest.mark.parametrize("h, n", SMALL)
+def test_capelli_immanant_is_koszul_image_of_immanant(h, n):
+    # K^-1 carries the polynomial sign convention to the algebra's
+    words = list(itertools.product(range(1, n + 1), repeat=h))
+    for shape in partitions_of(h):
+        for lefts in words:
+            for rights in words:
+                assert koszul_inverse(
+                    immanant(n, n, shape, lefts, rights)
+                ) == capelli_immanant(shape, lefts, rights, n), (shape, lefts, rights)
+
+
+@pytest.mark.parametrize("h, n", SMALL)
 def test_quantum_immanant_is_its_literal_sum(h, n):
     for shape in partitions_of(h):
         assert quantum_immanant(shape, n) == literal_quantum(shape, n), shape
@@ -495,6 +512,23 @@ def test_column_and_determinant_coefficients_are_ints():
                 coeffs = column_capelli(lefts, rights, n).terms.values()
                 assert all(type(c) is int for c in coeffs), (lefts, rights)
     assert all(type(c) is int for c in capelli_determinant(4).terms.values())
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Tableau(((1.5, 2.9),)),
+        lambda: UglElement(2, {((1.5, True),): 1}),
+        lambda: quantum_immanant((1.9,), 2),
+        lambda: column_capelli((1.7,), (2,), 2),
+        lambda: MPoly(2, 2, {(1.5, 0, 0, 0): 1}),
+    ],
+    ids=["tableau", "ugl_element", "quantum_immanant", "column_capelli", "mpoly"],
+)
+def test_constructors_reject_non_integers(build):
+    # a non-int index, part or exponent is rejected, not truncated
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_integral_fraction_is_stored_as_int():

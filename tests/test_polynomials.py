@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from capelli import polynomials
+from capelli.characters import character
 from capelli.enveloping import UglElement
 from capelli.polynomials import (
     MPoly,
@@ -33,7 +34,12 @@ from capelli.polynomials import (
     straight_key,
     straighten,
 )
-from capelli.tableaux import Tableau, partitions_of
+from capelli.tableaux import (
+    Tableau,
+    column_permuted_family,
+    enumerate_row_strict,
+    partitions_of,
+)
 
 
 def var(i, phi, n=2, d=2):
@@ -327,6 +333,88 @@ def test_imm_operator_on_column_monomial():
     # the operator sends each signed column to its immanant
     p = column_bitableau(2, 2, (1, 2), (1, 2))
     assert imm_operator((2,), p) == immanant(2, 2, (2,), (1, 2), (1, 2))
+
+
+def test_families_range_check_entries_that_build_no_column():
+    # the shapes differ, so the column map is empty
+    with pytest.raises(ValueError):
+        right_symmetrized(2, 2, Tableau(((3,),)), Tableau(((1,), (2,))))
+    # every column cancels
+    with pytest.raises(ValueError):
+        immanant(2, 2, (2,), (3, 3), (1, 2))
+
+
+# -- literal references for the column-map families --------------------------
+#
+# The families by their defining formulas, sharing no code with the merged
+# column maps: right_symmetrized as a sum of bitableau products (products of
+# signed row minors), immanant as one column bitableau per permutation.
+
+
+def literal_right_symmetrized(n, d, left, right):
+    return poly_sum(
+        n, d, (bitableau(n, d, left, rbar) for rbar in column_permuted_family(right))
+    )
+
+
+def literal_immanant(n, d, shape, lefts, rights):
+    terms = []
+    for sigma in itertools.permutations(range(len(lefts))):
+        chi = character(shape, sigma)
+        if chi:
+            permuted = tuple(lefts[k] for k in sigma)
+            terms.append(column_bitableau(n, d, permuted, rights) * chi)
+    return poly_sum(n, d, terms)
+
+
+def literal_imm_operator(shape, p):
+    sign = column_sign(sum(shape))
+    terms = []
+    for exp, coeff in p.terms.items():
+        pairs = p.variables_of(exp)
+        lefts = tuple(i for i, _ in pairs)
+        rights = tuple(phi for _, phi in pairs)
+        terms.append(literal_immanant(p.n, p.d, shape, lefts, rights) * (coeff * sign))
+    return poly_sum(p.n, p.d, terms)
+
+
+LITERAL_CASES = [(h, n, d) for h in range(1, 4) for n, d in ((2, 2), (3, 3), (3, 2))]
+
+
+@pytest.mark.parametrize("h, n, d", LITERAL_CASES)
+def test_right_symmetrized_is_its_literal_sum(h, n, d):
+    for shape in partitions_of(h):
+        for s in enumerate_row_strict(shape, n):
+            for t in enumerate_row_strict(shape, d):
+                assert right_symmetrized(n, d, s, t) == literal_right_symmetrized(
+                    n, d, s, t
+                ), (s, t)
+
+
+@pytest.mark.parametrize("h, n, d", LITERAL_CASES)
+def test_immanant_and_imm_operator_are_their_literal_sums(h, n, d):
+    lefts_all = list(itertools.product(range(1, n + 1), repeat=h))
+    rights_all = list(itertools.product(range(1, d + 1), repeat=h))
+    for shape in partitions_of(h):
+        for lefts in lefts_all:
+            for rights in rights_all:
+                assert immanant(n, d, shape, lefts, rights) == literal_immanant(
+                    n, d, shape, lefts, rights
+                ), (shape, lefts, rights)
+    # homogeneous polynomials whose monomials have different contents
+    rng = random.Random(h * 100 + n * 10 + d)
+    for _ in range(5):
+        p = poly_sum(
+            n,
+            d,
+            (
+                column_bitableau(n, d, rng.choice(lefts_all), rng.choice(rights_all))
+                * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                for _ in range(4)
+            ),
+        )
+        for shape in partitions_of(h):
+            assert imm_operator(shape, p) == literal_imm_operator(shape, p), (shape, p)
 
 
 # -- exact linear algebra ----------------------------------------------------
