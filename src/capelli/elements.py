@@ -18,7 +18,7 @@ from math import factorial, prod
 
 # unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
 from .characters import character
-from .enveloping import Coeff, UglElement, element_sum
+from .enveloping import UglElement, element_sum
 from .polynomials import (
     ColumnKey,
     MPoly,
@@ -46,6 +46,7 @@ from .tableaux import (
     permutation_sign,
     row_permutations,
 )
+from .terms import Coeff
 
 _column_memo: dict[tuple, UglElement] = {}
 

@@ -8,10 +8,9 @@ normal form with the commutation relation
     [e_ab, e_cd] = delta_bc e_ad - delta_da e_cb
 
 applied to adjacent out-of-order factors until none remain.  Coefficients
-are exact: an ``int`` when integral, a ``Fraction`` otherwise, so the
-column recursion never leaves the integers.  Zero coefficients are never
-stored, and ``int`` and ``Fraction`` compare and hash alike, so equality of
-elements is equality of term maps.
+follow the rule of ``capelli.terms`` (an ``int`` when integral, a
+``Fraction`` otherwise), so the column recursion never leaves the integers.
+Zero coefficients are never stored.
 """
 
 from __future__ import annotations
@@ -20,28 +19,11 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
-from .terms import add_terms, parse_coeff, parse_int, signed_text
+from .terms import Coeff, add_terms, exact, parse_coeff, parse_int
+from .terms import scale_terms, settle, signed_text
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
-Coeff = int | Fraction
-
-
-def _exact(value: Rational) -> Coeff:
-    """The coefficient as an int when integral, as a Fraction otherwise."""
-    if type(value) is int:
-        return value
-    q = Fraction(value)
-    return q.numerator if q.denominator == 1 else q
-
-
-def _settle(terms: dict) -> dict:
-    """Turn the integral Fraction coefficients of a term map into ints, in
-    place; sums and products of Fractions can land on an integer."""
-    for mono, coeff in terms.items():
-        if type(coeff) is not int and coeff.denominator == 1:
-            terms[mono] = coeff.numerator
-    return terms
 
 
 def _first_descent(mono: Monomial) -> int:
@@ -79,7 +61,7 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
             stack.append((head + ((a, d),) + tail, coeff))
         if d == a:
             stack.append((head + ((c, b),) + tail, -coeff))
-    return _settle(normal)
+    return settle(normal)
 
 
 def _term_sort_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -103,7 +85,7 @@ class UglElement:
             for i, j in mono:
                 if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
-            raw.append((mono, _exact(coeff)))
+            raw.append((mono, exact(coeff)))
         object.__setattr__(self, "terms", _normalize(raw))
 
     def __setattr__(self, name, value):
@@ -137,7 +119,7 @@ class UglElement:
         if not isinstance(other, UglElement):
             return NotImplemented
         self._check_ambient(other)
-        return self._wrap(_settle(add_terms(dict(self.terms), other.terms.items())))
+        return self._wrap(settle(add_terms(dict(self.terms), other.terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, UglElement):
@@ -157,16 +139,7 @@ class UglElement:
             ]
             return self._wrap(_normalize(raw))
         if isinstance(other, Rational):
-            q = _exact(other)
-            if not q:
-                return UglElement.zero(self.n)
-            if q == 1:
-                return self
-            if q == -1:
-                return -self
-            return self._wrap(
-                _settle({mono: coeff * q for mono, coeff in self.terms.items()})
-            )
+            return self._wrap(scale_terms(self.terms, other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -276,4 +249,4 @@ def element_sum(n: int, elements: Iterator[UglElement] | Iterable[UglElement]) -
         if elem.n != n:
             raise ValueError(f"ambient mismatch: n={n} vs n={elem.n}")
         add_terms(acc, elem.terms.items())
-    return UglElement.zero(n)._wrap(_settle(acc))
+    return UglElement.zero(n)._wrap(settle(acc))

@@ -12,6 +12,7 @@ against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +31,8 @@ from .tableaux import (
     permutation_sign,
     row_permutations,
 )
-from .terms import add_terms, parse_coeff, parse_int, signed_text
+from .terms import Coeff, add_terms, exact, parse_coeff, parse_int
+from .terms import scale_terms, settle, signed_text
 
 ExpVec = tuple[int, ...]
 
@@ -51,8 +53,8 @@ class MPoly:
             exp = tuple(exp)
             if len(exp) != size or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp} for n*d={size}")
-            raw.append((exp, Fraction(coeff)))
-        object.__setattr__(self, "terms", add_terms({}, raw))
+            raw.append((exp, exact(coeff)))
+        object.__setattr__(self, "terms", settle(add_terms({}, raw)))
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -66,15 +68,11 @@ class MPoly:
     @classmethod
     def one(cls, n: int, d: int) -> "MPoly":
         exp = (0,) * (n * d)
-        return cls(n, d, {exp: Fraction(1)})
+        return cls(n, d, {exp: 1})
 
     @classmethod
     def variable(cls, n: int, d: int, i: int, phi: int) -> "MPoly":
-        if not (1 <= i <= n and 1 <= phi <= d):
-            raise ValueError(f"variable ({i}|{phi}) out of range for ({n},{d})")
-        exp = [0] * (n * d)
-        exp[(i - 1) * d + (phi - 1)] = 1
-        return cls(n, d, {tuple(exp): Fraction(1)})
+        return cls.monomial(n, d, ((i, phi),))
 
     @classmethod
     def monomial(cls, n: int, d: int, pairs: Iterable[tuple[int, int]]) -> "MPoly":
@@ -84,9 +82,9 @@ class MPoly:
             if not (1 <= i <= n and 1 <= phi <= d):
                 raise ValueError(f"variable ({i}|{phi}) out of range for ({n},{d})")
             exp[(i - 1) * d + (phi - 1)] += 1
-        return cls(n, d, {tuple(exp): Fraction(1)})
+        return cls(n, d, {tuple(exp): 1})
 
-    def _wrap(self, terms: dict[ExpVec, Fraction]) -> "MPoly":
+    def _wrap(self, terms: dict[ExpVec, Coeff]) -> "MPoly":
         poly = object.__new__(MPoly)
         object.__setattr__(poly, "n", self.n)
         object.__setattr__(poly, "d", self.d)
@@ -105,7 +103,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_ambient(other)
-        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
+        return self._wrap(settle(add_terms(dict(self.terms), other.terms.items())))
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -126,12 +124,9 @@ class MPoly:
                     for eb, cb in other.terms.items()
                 ),
             )
-            return self._wrap(out)
+            return self._wrap(settle(out))
         if isinstance(other, Rational):
-            q = Fraction(other)
-            if not q:
-                return MPoly.zero(self.n, self.d)
-            return self._wrap({exp: coeff * q for exp, coeff in self.terms.items()})
+            return self._wrap(scale_terms(self.terms, other))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -164,7 +159,7 @@ class MPoly:
                 f"variable ({i}|{phi}) out of range for ({self.n},{self.d})"
             )
         idx = (i - 1) * self.d + (phi - 1)
-        out: dict[ExpVec, Fraction] = {}
+        out: dict[ExpVec, Coeff] = {}
         # inline merge, not add_terms: the polarization action's innermost loop
         for exp, coeff in self.terms.items():
             e = exp[idx]
@@ -175,7 +170,7 @@ class MPoly:
                     out[key] = acc
                 else:
                     del out[key]
-        return self._wrap(out)
+        return self._wrap(settle(out))
 
     def total_degree(self) -> int | None:
         """Maximum monomial degree; None for the zero polynomial."""
@@ -210,7 +205,7 @@ class MPoly:
                 pairs.extend([(idx // d + 1, idx % d + 1)] * e)
         return pairs
 
-    def sorted_terms(self) -> list[tuple[ExpVec, Fraction]]:
+    def sorted_terms(self) -> list[tuple[ExpVec, Coeff]]:
         def key(item):
             exp = item[0]
             seq = tuple(
@@ -269,12 +264,12 @@ class MPoly:
 
 def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
     """Exact sum of many polynomials without quadratic re-merging."""
-    acc: dict[ExpVec, Fraction] = {}
+    acc: dict[ExpVec, Coeff] = {}
     for p in polys:
         if p.n != n or p.d != d:
             raise ValueError(f"ambient mismatch: ({n},{d}) vs ({p.n},{p.d})")
         add_terms(acc, p.terms.items())
-    return MPoly.zero(n, d)._wrap(acc)
+    return MPoly.zero(n, d)._wrap(settle(acc))
 
 
 # -- bideterminants and bitableaux ------------------------------------------
@@ -297,13 +292,13 @@ def biproduct(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> 
     if len(letters) != len(places):
         return MPoly.zero(n, d)
     p = len(letters)
-    sign = -1 if comb(p, 2) % 2 else 1
+    sign = column_sign(p)
     terms = []
     for perm in itertools.permutations(range(p)):
         exp = [0] * (n * d)
         for s in range(p):
             exp[(letters[perm[s]] - 1) * d + (places[s] - 1)] += 1
-        terms.append((tuple(exp), Fraction(sign * permutation_sign(perm))))
+        terms.append((tuple(exp), sign * permutation_sign(perm)))
     return MPoly.zero(n, d)._wrap(add_terms({}, terms))
 
 
@@ -390,14 +385,15 @@ def _add_young_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> N
         _add_bitableau_columns(weights, left, rbar, coeff)
 
 
-def _character_support(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+@functools.cache
+def _character_support(shape: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
     """(sigma, chi_shape(sigma)) for every permutation of nonzero character."""
     support = []
     for sigma in itertools.permutations(range(sum(shape))):
         chi = character(shape, sigma)
         if chi:
             support.append((sigma, chi))
-    return support
+    return tuple(support)
 
 
 def _immanant_columns(support, lefts, rights) -> dict[ColumnKey, int]:
@@ -504,7 +500,7 @@ def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
         raise ValueError(f"input must be homogeneous of degree {h}")
     support = _character_support(shape)
     sign = column_sign(h)
-    weights: dict[ColumnKey, Fraction] = {}
+    weights: dict[ColumnKey, Coeff] = {}
     for exp, coeff in p.terms.items():
         pairs = p.variables_of(exp)
         lefts = tuple(i for i, _ in pairs)
@@ -604,22 +600,22 @@ class StdExpansion:
 
     n: int
     d: int
-    terms: tuple[tuple[Tableau, Tableau, Fraction], ...]
+    terms: tuple[tuple[Tableau, Tableau, Coeff], ...]
 
     def __post_init__(self):
         ordered = tuple(
             sorted(
-                ((s, t, Fraction(c)) for s, t, c in self.terms if c),
+                ((s, t, exact(c)) for s, t, c in self.terms if c),
                 key=lambda stc: straight_key(stc[0], stc[1]),
             )
         )
         object.__setattr__(self, "terms", ordered)
 
-    def coefficient(self, left: Tableau, right: Tableau) -> Fraction:
+    def coefficient(self, left: Tableau, right: Tableau) -> Coeff:
         for s, t, c in self.terms:
             if s == left and t == right:
                 return c
-        return Fraction(0)
+        return 0
 
     def shapes(self) -> set[tuple[int, ...]]:
         return {s.shape for s, _, _ in self.terms}
@@ -693,7 +689,7 @@ def _family_block(build, n: int, d: int, content: Content) -> tuple:
         polys = [build(n, d, s, t) for s, t in pairs]
         monomials = sorted({exp for poly in polys for exp in poly.terms})
         matrix = [
-            [poly.terms.get(exp, Fraction(0)) for poly in polys] for exp in monomials
+            [poly.terms.get(exp, 0) for poly in polys] for exp in monomials
         ]
         block = _block_memo[key] = (pairs, monomials, matrix)
     return block
@@ -708,14 +704,14 @@ def _solve_against_family(p: MPoly, build) -> dict[tuple[Tableau, Tableau], Frac
     content(T), so only the blocks p meets are solved; each block is built
     once per process and reused by later calls.
     """
-    targets: dict[Content, dict[ExpVec, Fraction]] = {}
+    targets: dict[Content, dict[ExpVec, Coeff]] = {}
     for exp, coeff in p.terms.items():
         key = (p.row_degrees(exp), p.col_degrees(exp))
         targets.setdefault(key, {})[exp] = coeff
     result: dict[tuple[Tableau, Tableau], Fraction] = {}
     for key, target in targets.items():
         pairs, monomials, matrix = _family_block(build, p.n, p.d, key)
-        rhs = [target.pop(exp, Fraction(0)) for exp in monomials]
+        rhs = [target.pop(exp, 0) for exp in monomials]
         # a monomial left in target occurs in no polynomial of the block
         solution = None if target else solve_exact(matrix, rhs)
         if solution is None:

@@ -2,9 +2,10 @@
 
 A U(gl(n)) element, a polynomial in C[M_{n,d}] and a standard expansion are
 each a map from basis items (PBW monomials, exponent vectors, standard
-pairs) to nonzero exact rational coefficients.  This module holds what the
-three have in common: merging terms, rendering with folded signs, and
-reading a coefficient or an integer from JSON.
+pairs) to nonzero coefficients: an ``int`` when integral, a ``Fraction``
+otherwise (the two compare and hash alike).  This module holds what the
+three have in common: that rule, merging and scaling terms, rendering with
+folded signs, and reading a coefficient or an integer from JSON.
 """
 
 from __future__ import annotations
@@ -12,6 +13,37 @@ from __future__ import annotations
 from fractions import Fraction
 from numbers import Rational
 from typing import Hashable, Iterable
+
+Coeff = int | Fraction
+
+
+def exact(value: Rational) -> Coeff:
+    """The coefficient as an int when integral, as a Fraction otherwise."""
+    if type(value) is int:
+        return value
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
+
+
+def settle(terms: dict) -> dict:
+    """Store the integral Fraction coefficients of a term map as ints, in place."""
+    for key, coeff in terms.items():
+        if type(coeff) is not int and coeff.denominator == 1:
+            terms[key] = coeff.numerator
+    return terms
+
+
+def scale_terms(terms: dict, factor: Rational) -> dict:
+    """The term map times a rational factor; by 1 it is the map itself (term
+    maps are never mutated once built) and by -1 it is only negated."""
+    q = exact(factor)
+    if not q:
+        return {}
+    if q == 1:
+        return terms
+    if q == -1:
+        return {key: -coeff for key, coeff in terms.items()}
+    return settle({key: coeff * q for key, coeff in terms.items()})
 
 
 def add_terms(acc: dict, items: Iterable[tuple[Hashable, Rational]]) -> dict:

@@ -65,10 +65,13 @@ def _word_pairs(h: int, n: int):
 
 
 def _monomials_up_to(n: int, d: int, degree: int):
+    """Every monomial of degree at most ``degree``, lowest degree first and
+    each degree in increasing order of exponent vectors."""
+    slots = range(n * d)
     for total in range(degree + 1):
-        for exps in itertools.product(range(total + 1), repeat=n * d):
-            if sum(exps) == total:
-                yield MPoly(n, d, {exps: Fraction(1)})
+        combos = itertools.combinations_with_replacement(slots, total)
+        for exps in sorted(tuple(map(combo.count, slots)) for combo in combos):
+            yield MPoly(n, d, {exps: 1})
 
 
 def _independent(vectors) -> bool:

@@ -303,7 +303,7 @@ def test_a13_young_capelli_action():
                         row.append(Fraction(0))
                         continue
                     exp0, coeff0 = target.sorted_terms()[0]
-                    ratio = image.terms.get(exp0, Fraction(0)) / coeff0
+                    ratio = Fraction(image.terms.get(exp0, Fraction(0))) / coeff0
                     assert image == target * ratio, (lam, t.rows, u.rows)
                     row.append(ratio)
                 matrix.append(row)

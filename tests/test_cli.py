@@ -1,4 +1,6 @@
+import itertools
 import json
+import math
 import subprocess
 import sys
 
@@ -189,6 +191,29 @@ def test_verify_all_runs_every_suite(capsys):
     ]
     assert names == list(verify.SUITES)
     assert verify.run("all", max_h=2, max_n=2, n=2, d=2) == report
+
+
+def product_and_filter_probes(n, d, degree):
+    """Every exponent vector of degree at most degree, by scanning all
+    (degree + 1)^(n * d) tuples of each degree."""
+    for total in range(degree + 1):
+        for exps in itertools.product(range(total + 1), repeat=n * d):
+            if sum(exps) == total:
+                yield exps
+
+
+@pytest.mark.parametrize("n, d", [(1, 1), (2, 2), (2, 3), (3, 2)])
+def test_oracle_probes_keep_the_product_and_filter_order(n, d):
+    probes = list(verify._monomials_up_to(n, d, 3))
+    assert [tuple(p.terms.items()) for p in probes] == [
+        ((exps, 1),) for exps in product_and_filter_probes(n, d, 3)
+    ]
+
+
+def test_oracle_probes_at_n_d_4_are_enumerated_directly():
+    probes = list(verify._monomials_up_to(4, 4, 3))
+    assert len(probes) == math.comb(19, 3) == 969
+    assert len(set(probes)) == 969
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):

@@ -87,6 +87,61 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+def _types(p):
+    return {exp: type(c) for exp, c in p.terms.items()}
+
+
+@settings(deadline=None)
+@given(poly_strategy(), poly_strategy())
+def test_integral_coefficients_are_stored_as_ints(p, q):
+    halves = poly_sum(p.n, p.d, (p / 2, p / 2, q))
+    half_square = var(1, 1) * var(1, 1) / 2
+    assert half_square.diff(1, 1) == var(1, 1)
+    polarized = act_generator(1, 2, var(2, 1) * var(2, 1) / 2)
+    assert polarized == var(1, 1) * var(2, 1)
+    for z in (
+        p + q,
+        p - q,
+        p * q,
+        p * 3,
+        p / 2,
+        p / 2 * 2,
+        q * Fraction(3, 2),
+        halves,
+        half_square.diff(1, 1),
+        (p * half_square).diff(1, 1),
+        polarized,
+        act_generator(1, 2, p / 2),
+    ):
+        for coeff in z.terms.values():
+            assert type(coeff) is int or coeff.denominator != 1, z
+    assert halves == p + q
+    assert poly_sum(p.n, p.d, (p, -p)) == MPoly.zero(p.n, p.d)
+    mixed = MPoly.one(2, 2) * 2 + var(1, 1) / 2
+    assert set(_types(mixed).values()) == {int, Fraction}
+    for z in (mixed, mixed + p, halves):
+        for unit in (1, -1, Fraction(1), Fraction(-1)):
+            scaled = z * unit
+            assert scaled == (z if unit == 1 else -z)
+            assert _types(scaled) == _types(z)
+    # the integral families and expansions store plain ints
+    s, t = Tableau(((1, 2), (3,))), Tableau(((2, 3), (1,)))
+    expansion = straighten(bitableau(3, 3, s, t))
+    families = (
+        MPoly.one(2, 2),
+        var(2, 1),
+        bitableau(3, 3, s, t),
+        right_symmetrized(3, 3, s, t),
+        immanant(3, 3, (2, 1), (1, 2, 3), (3, 1, 2)),
+        expansion.to_polynomial(),
+    )
+    for family in families:
+        assert family and set(_types(family).values()) == {int}
+    assert expansion.terms and all(type(c) is int for _, _, c in expansion.terms)
+    stored = StdExpansion(3, 3, ((s, t, Fraction(2)), (t, s, Fraction(1, 2)))).terms
+    assert {c: type(c) for _, _, c in stored} == {2: int, Fraction(1, 2): Fraction}
+
+
 def test_variable_layout():
     p = var(2, 1) * var(1, 2)
     assert p.text() == "x[1,2]x[2,1]"
