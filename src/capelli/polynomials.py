@@ -160,7 +160,7 @@ class MPoly:
             )
         idx = (i - 1) * self.d + (phi - 1)
         out: dict[ExpVec, Coeff] = {}
-        # inline merge, not add_terms: the polarization action's innermost loop
+        # inline merge, not add_terms: the differential operators' innermost loop
         for exp, coeff in self.terms.items():
             e = exp[idx]
             if e:
@@ -746,33 +746,72 @@ def gc_coordinates(p: MPoly) -> dict[tuple[Tableau, Tableau], Fraction]:
 
 
 def act_generator(i: int, j: int, p: MPoly) -> MPoly:
-    """Polarization e_ij: sum_phi (i|phi) d/d(j|phi)."""
-    if not (1 <= i <= p.n and 1 <= j <= p.n):
-        raise ValueError(f"generator indices ({i},{j}) out of range for n={p.n}")
-    return poly_sum(
-        p.n,
-        p.d,
-        (
-            MPoly.variable(p.n, p.d, i, phi) * p.diff(j, phi)
-            for phi in range(1, p.d + 1)
-        ),
-    )
+    """Polarization e_ij = sum_phi (i|phi) d/d(j|phi), as one exponent shift:
+    each term moves one unit from (j|phi) to (i|phi) for every phi with
+    a = exp[(j|phi)] > 0, weighted by a.  For i = j every monomial stays in
+    place, weighted by its row-j degree (the Euler operator).  Shares no code
+    with MPoly.diff, which the oracles below use."""
+    n, d = p.n, p.d
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"generator indices ({i},{j}) out of range for n={n}")
+    src, dst = (j - 1) * d, (i - 1) * d
+    out: dict[ExpVec, Coeff] = {}
+    # inline merge, not add_terms: the polarization action's innermost loop
+    for exp, coeff in p.terms.items():
+        for phi in range(d):
+            a = exp[src + phi]
+            if a:
+                shifted = list(exp)
+                shifted[src + phi] = a - 1
+                shifted[dst + phi] += 1
+                key = tuple(shifted)
+                acc = out.get(key, 0) + coeff * a
+                if acc:
+                    out[key] = acc
+                else:
+                    del out[key]
+    return p._wrap(settle(out))
 
 
 def act_ugl(x, p: MPoly) -> MPoly:
     """Action of a PBW element: each monomial acts with its rightmost
-    generator first, weighted by its coefficient."""
+    generator first, weighted by its coefficient.  The image of each suffix
+    of a monomial is kept for the rest of the call, so monomials that share
+    a tail share its work."""
     if x.n != p.n:
         raise ValueError(f"ambient mismatch: n={x.n} vs n={p.n}")
-    terms = []
+    images = {(): p}
+    out: dict[ExpVec, Coeff] = {}
     for mono, coeff in x.terms.items():
-        q = p
-        for i, j in reversed(mono):
-            q = act_generator(i, j, q)
-            if not q:
-                break
-        terms.append(q * coeff)
-    return poly_sum(p.n, p.d, terms)
+        k = 0
+        while mono[k:] not in images:
+            k += 1
+        q = images[mono[k:]]
+        while k and q:
+            k -= 1
+            q = act_generator(*mono[k], q)
+            images[mono[k:]] = q
+        if q:
+            add_terms(out, ((exp, c * coeff) for exp, c in q.terms.items()))
+    return p._wrap(settle(out))
+
+
+def _place_derivatives(p: MPoly, rows: tuple[int, ...], places: tuple[int, ...] = ()):
+    """Oracle helper: (phibar, d/d(rows_1|phi_1)...d/d(rows_h|phi_h) p) for
+    every place word phibar whose derivative is nonzero, in lexicographic
+    order.  Depth first, trying phi_k only where some term of the current
+    derivative has a positive exponent at (rows_k|phi_k): elsewhere the
+    derivative, and every one below it, is 0.  The rows must be in 1..n."""
+    k = len(places)
+    if k == len(rows):
+        yield places, p
+        return
+    base = (rows[k] - 1) * p.d - 1
+    for phi in range(1, p.d + 1):
+        if any(exp[base + phi] for exp in p.terms):
+            yield from _place_derivatives(
+                p.diff(rows[k], phi), rows, places + (phi,)
+            )
 
 
 def act_column_capelli_diff(
@@ -783,23 +822,19 @@ def act_column_capelli_diff(
         (-1)^C(h,2) sum_phibar (i_1|phi_1)...(i_h|phi_h)
                               d/d(j_1|phi_1) ... d/d(j_h|phi_h)
 
-    with all differentiations applied before the multiplications.
+    with all differentiations applied before the multiplications, over the
+    place words whose derivative is nonzero.  Built from MPoly.diff and
+    products only, never from the act_generator kernel.
     """
     lefts, rights = tuple(lefts), tuple(rights)
     if len(lefts) != len(rights):
         raise ValueError("column words must have equal length")
-    h = len(lefts)
-    sign = column_sign(h)
-    terms = []
-    for phibar in itertools.product(range(1, p.d + 1), repeat=h):
-        q = p
-        for j, phi in zip(rights, phibar):
-            q = q.diff(j, phi)
-            if not q:
-                break
-        if not q:
-            continue
-        terms.append(MPoly.monomial(p.n, p.d, zip(lefts, phibar)) * q * sign)
+    _check_words(p.n, p.d, lefts + rights, ())
+    sign = column_sign(len(lefts))
+    terms = [
+        MPoly.monomial(p.n, p.d, zip(lefts, phibar)) * q * sign
+        for phibar, q in _place_derivatives(p, rights)
+    ]
     return poly_sum(p.n, p.d, terms)
 
 
@@ -810,7 +845,9 @@ def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
             (i_1|phi_1)...(i_h|phi_h) d/d(i_sigma(1)|phi_1)...d/d(i_sigma(h)|phi_h)
 
     where chi is the package-convention character of the conjugate shape and
-    dim is the dimension of the irreducible of the given shape.
+    dim is the dimension of the irreducible of the given shape.  The place
+    words run over those whose derivative is nonzero.  Built from MPoly.diff
+    and products only, never from the act_generator kernel.
     """
     shape = check_partition(shape)
     h = sum(shape)
@@ -822,13 +859,7 @@ def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
         if not chi:
             continue
         for ibar in itertools.product(range(1, n + 1), repeat=h):
-            for phibar in itertools.product(range(1, d + 1), repeat=h):
-                q = p
-                for k in range(h):
-                    q = q.diff(ibar[sigma[k]], phibar[k])
-                    if not q:
-                        break
-                if not q:
-                    continue
+            rows = tuple(ibar[sigma[k]] for k in range(h))
+            for phibar, q in _place_derivatives(p, rows):
                 terms.append(MPoly.monomial(n, d, zip(ibar, phibar)) * q * chi)
     return poly_sum(n, d, terms) / dim_irrep(shape)

@@ -176,12 +176,13 @@ def test_a07_differential_oracle():
 
 
 def test_a08_higher_capelli_oracle():
-    n = d = 2
-    for mu in ((1, 1), (2, 1)):
-        h = sum(mu)
+    cases = [(2, mu, sum(mu) + 1) for mu in ((1, 1), (2, 1))]
+    cases += [(3, mu, 3) for mu in ((2,), (1, 1))]
+    for n, mu, degree in cases:
         element = quantum_immanant(mu, n)
-        for probe in monomials_up_to(n, d, h + 1):
+        for probe in monomials_up_to(n, n, degree):
             assert act_ugl(element, probe) == act_higher_capelli(mu, probe), (
+                n,
                 mu,
                 probe.text(),
             )

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capelli.enveloping import UglElement, ad, element_sum
 
@@ -154,6 +154,32 @@ def test_casimir_elements_are_central():
         assert linear.is_central()
         assert quadratic.is_central()
         assert not gen(n, 1, 2).is_central()
+    # commutes with every e_ii and with e_12, but not with e_23
+    assert not (gen(3, 1, 1) + gen(3, 2, 2)).is_central()
+
+
+@st.composite
+def near_central_strategy(draw):
+    # a combination of the two Casimir elements, sometimes perturbed
+    n = draw(st.integers(min_value=1, max_value=3))
+    idx = range(1, n + 1)
+    linear = element_sum(n, (gen(n, i, i) for i in idx))
+    quadratic = element_sum(n, (gen(n, i, j) * gen(n, j, i) for i in idx for j in idx))
+    x = linear * draw(st.integers(-2, 2)) + quadratic * draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        x = x + draw(element_strategy(n=n, max_terms=2, max_len=2))
+    return x
+
+
+@settings(deadline=None)
+@given(near_central_strategy())
+@example(gen(3, 1, 1) + gen(3, 2, 2))
+@example(gen(3, 1, 2) * gen(3, 2, 1) + gen(3, 2, 1) * gen(3, 1, 2))
+def test_is_central_agrees_with_every_generator(x):
+    # the definition: [e_ij, x] = 0 for all n^2 generators
+    idx = range(1, x.n + 1)
+    expected = all(not (gen(x.n, i, j) * x - x * gen(x.n, i, j)) for i in idx for j in idx)
+    assert x.is_central() == expected
 
 
 def test_mixed_size_arithmetic_is_rejected():

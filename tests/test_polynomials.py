@@ -696,6 +696,85 @@ def test_act_generator_is_a_derivation(p, q):
         assert lhs == rhs
 
 
+@settings(deadline=None)
+@given(poly_strategy(n=3, d=2), st.integers(1, 3), st.integers(1, 3))
+def test_act_generator_matches_the_polarization_sum(p, i, j):
+    # reference: sum_phi (i|phi) * d/d(j|phi), on Fraction coefficients
+    for a, b in ((i, j), (j, j)):
+        expected = MPoly.zero(3, 2)
+        for phi in (1, 2):
+            expected = expected + MPoly.variable(3, 2, a, phi) * p.diff(b, phi)
+        assert act_generator(a, b, p) == expected
+
+
+@settings(deadline=None)
+@given(
+    poly_strategy(max_terms=2, max_deg=2),
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2)]), max_size=3),
+            st.fractions(min_value=-3, max_value=3, max_denominator=3),
+        ),
+        max_size=5,
+    ),
+)
+def test_act_ugl_matches_the_plain_right_to_left_loop(p, raw):
+    x = UglElement(2, {tuple(mono): coeff for mono, coeff in raw})
+    expected = MPoly.zero(2, 2)
+    for mono, coeff in x.terms.items():
+        q = p
+        for i, j in reversed(mono):
+            q = act_generator(i, j, q)
+        expected = expected + q * coeff
+    assert act_ugl(x, p) == expected
+
+
+def _full_column_operator(lefts, rights, p):
+    # reference: every one of the d^h place words, derivatives first
+    total = MPoly.zero(p.n, p.d)
+    for phibar in itertools.product(range(1, p.d + 1), repeat=len(lefts)):
+        q = p
+        for j, phi in zip(rights, phibar):
+            q = q.diff(j, phi)
+        total = total + MPoly.monomial(p.n, p.d, zip(lefts, phibar)) * q
+    return total * column_sign(len(lefts))
+
+
+@settings(deadline=None)
+@given(
+    poly_strategy(n=2, d=3, max_terms=4, max_deg=3),
+    st.integers(0, 3).flatmap(
+        lambda h: st.tuples(
+            st.lists(st.integers(1, 2), min_size=h, max_size=h),
+            st.lists(st.integers(1, 2), min_size=h, max_size=h),
+        )
+    ),
+)
+def test_pruned_column_operator_matches_every_place_word(p, words):
+    lefts, rights = words
+    zero = MPoly.zero(2, 3)
+    assert act_column_capelli_diff(lefts, rights, zero) == zero
+    assert act_column_capelli_diff(lefts, rights, p) == _full_column_operator(
+        lefts, rights, p
+    )
+
+
+@pytest.mark.parametrize(
+    "lefts, rights, probe",
+    [
+        ((4,), (1,), MPoly.variable(3, 3, 1, 1)),
+        ((1,), (4,), MPoly.variable(3, 3, 2, 1)),
+        ((4,), (1,), MPoly.variable(3, 3, 2, 1)),
+        ((1, 2), (0, 1), MPoly.variable(3, 3, 3, 3)),
+        ((1,), (4,), MPoly.zero(3, 3)),
+    ],
+)
+def test_column_operator_rejects_out_of_range_letters(lefts, rights, probe):
+    # a letter outside 1..n raises even when every derivative vanishes
+    with pytest.raises(ValueError, match="out of range"):
+        act_column_capelli_diff(lefts, rights, probe)
+
+
 def test_act_generator_on_variables():
     # e_ij sends (j|phi) to (i|phi) and kills other rows
     assert act_generator(1, 2, var(2, 1)) == var(1, 1)
