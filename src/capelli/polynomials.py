@@ -775,24 +775,18 @@ def act_generator(i: int, j: int, p: MPoly) -> MPoly:
 
 def act_ugl(x, p: MPoly) -> MPoly:
     """Action of a PBW element: each monomial acts with its rightmost
-    generator first, weighted by its coefficient.  The image of each suffix
-    of a monomial is kept for the rest of the call, so monomials that share
-    a tail share its work."""
+    generator first, weighted by its coefficient; a monomial stops at the
+    first generator that sends its image to 0."""
     if x.n != p.n:
         raise ValueError(f"ambient mismatch: n={x.n} vs n={p.n}")
-    images = {(): p}
     out: dict[ExpVec, Coeff] = {}
     for mono, coeff in x.terms.items():
-        k = 0
-        while mono[k:] not in images:
-            k += 1
-        q = images[mono[k:]]
-        while k and q:
-            k -= 1
-            q = act_generator(*mono[k], q)
-            images[mono[k:]] = q
-        if q:
-            add_terms(out, ((exp, c * coeff) for exp, c in q.terms.items()))
+        q = p
+        for i, j in reversed(mono):
+            q = act_generator(i, j, q)
+            if not q:
+                break
+        add_terms(out, ((exp, c * coeff) for exp, c in q.terms.items()))
     return p._wrap(settle(out))
 
 
