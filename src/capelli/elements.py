@@ -43,10 +43,9 @@ from .tableaux import (
     conjugate,
     enumerate_row_strict,
     hook_number,
-    permutation_sign,
     row_permutations,
 )
-from .terms import Coeff
+from .terms import Coeff, check_size
 
 _column_memo: dict[tuple, UglElement] = {}
 
@@ -259,17 +258,26 @@ def quantum_immanant(shape, n: int) -> UglElement:
         (-1)^C(h,2) sum_{h_1+...+h_n=h} (H(shape)/prod h_p!)
                     Cimm_{conjugate(shape)}[diag; diag]
 
-    with diag the weakly increasing diagonal word of each composition."""
-    shape = check_partition(shape)
+    with diag the weakly increasing diagonal word of each composition.  A
+    composition with m nonzero parts is the positive one comp[:m] with its
+    letters relabeled increasingly into 1..n (0! = 1, and relabeled keys stay
+    sorted), so columns are enumerated once per positive composition."""
+    shape, n = check_partition(shape), check_size("n", n)
     h = sum(shape)
     support = _character_support(conjugate(shape))
     signed_hooks = hook_number(shape) * column_sign(h)
     weights: dict[ColumnKey, Fraction] = {}
     for comp in compositions(h, n):
+        m = n - comp.count(0)
+        if 0 in comp[:m]:
+            continue  # reached by relabeling the positive composition comp[:m]
         word = _diagonal_word(comp)
         weight = Fraction(signed_hooks, prod(map(factorial, comp)))
-        for key, chi in _immanant_columns(support, word, word).items():
-            weights[key] = weights.get(key, 0) + chi * weight
+        merged = _immanant_columns(support, word, word)
+        columns = [(key, chi * weight) for key, chi in merged.items()]
+        for labels in itertools.combinations(range(1, n + 1), m):
+            for key, value in columns:
+                weights[tuple((labels[i - 1], labels[j - 1]) for i, j in key)] = value
     return _sum_columns(n, weights)
 
 
@@ -302,9 +310,10 @@ def capelli_determinant(n: int) -> UglElement:
 
         cdet(A) = sum_sigma (-1)^|sigma| a_{sigma(1),1} a_{sigma(2),2} ...
 
-    with the column-1 factor leftmost, normalized to PBW form."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    with the column-1 factor leftmost, normalized to PBW form.  Expanded by
+    row subsets, n 2^(n-1) products: from P({}) = 1, column k = |S| + 1 adds
+    (-1)^#{s in S : s > i} P(S) a_{i,k} to P(S + {i}); cdet = P({1..n})."""
+    layer = {0: UglElement.one(n)}  # P(S) by row subset: bit i is row i + 1
     entries = [
         [
             UglElement.generator(n, i, j)
@@ -313,13 +322,16 @@ def capelli_determinant(n: int) -> UglElement:
         ]
         for i in range(1, n + 1)
     ]
-    terms = []
-    for sigma in itertools.permutations(range(n)):
-        product = UglElement.one(n)
-        for col in range(n):
-            product = product * entries[sigma[col]][col]
-        terms.append(product * permutation_sign(sigma))
-    return element_sum(n, terms)
+    for col in range(n):
+        parts: dict[int, list[UglElement]] = {}
+        for rows, minor in layer.items():
+            for i in range(n):
+                if not rows >> i & 1:
+                    sign = -1 if (rows >> (i + 1)).bit_count() % 2 else 1
+                    product = minor * entries[i][col] * sign
+                    parts.setdefault(rows | 1 << i, []).append(product)
+        layer = {rows: element_sum(n, terms) for rows, terms in parts.items()}
+    return layer[(1 << n) - 1]
 
 
 # -- the correspondence between C[M_{n,n}] and U(gl(n)) ----------------------

@@ -19,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
-from .terms import Coeff, add_terms, exact, parse_coeff, parse_int
+from .terms import Coeff, add_terms, check_size, exact, parse_coeff, parse_int
 from .terms import scale_terms, settle, signed_text
 
 Generator = tuple[int, int]
@@ -76,9 +76,7 @@ class UglElement:
     __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Monomial, Rational] | None = None):
-        if n < 1:
-            raise ValueError(f"n must be positive, got {n}")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", check_size("n", n))
         raw = []
         for mono, coeff in (terms or {}).items():
             mono = tuple((i, j) for i, j in mono)

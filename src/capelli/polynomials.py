@@ -31,7 +31,7 @@ from .tableaux import (
     permutation_sign,
     row_permutations,
 )
-from .terms import Coeff, add_terms, exact, parse_coeff, parse_int
+from .terms import Coeff, add_terms, check_size, exact, parse_coeff, parse_int
 from .terms import scale_terms, settle, signed_text
 
 ExpVec = tuple[int, ...]
@@ -43,10 +43,8 @@ class MPoly:
     __slots__ = ("n", "d", "terms")
 
     def __init__(self, n: int, d: int, terms: Mapping[ExpVec, Rational] | None = None):
-        if n < 1 or d < 1:
-            raise ValueError(f"ambient sizes must be positive, got n={n}, d={d}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "n", check_size("n", n))
+        object.__setattr__(self, "d", check_size("d", d))
         size = n * d
         raw = []
         for exp, coeff in (terms or {}).items():

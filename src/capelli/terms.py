@@ -5,7 +5,7 @@ each a map from basis items (PBW monomials, exponent vectors, standard
 pairs) to nonzero coefficients: an ``int`` when integral, a ``Fraction``
 otherwise (the two compare and hash alike).  This module holds what the
 three have in common: that rule, merging and scaling terms, rendering with
-folded signs, and reading a coefficient or an integer from JSON.
+folded signs, reading JSON coefficients and integers, and checking sizes.
 """
 
 from __future__ import annotations
@@ -95,3 +95,10 @@ def parse_int(raw) -> int:
     if type(raw) is not int:
         raise ValueError(f"expected an integer, got {raw!r}")
     return raw
+
+
+def check_size(name: str, value) -> int:
+    """An ambient size n or d: a positive int (a bool is not one)."""
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from capelli import polynomials
+from capelli import elements, polynomials
 from capelli.enveloping import UglElement, element_sum
 from capelli.polynomials import (
     MPoly,
@@ -522,11 +522,32 @@ def test_column_and_determinant_coefficients_are_ints():
         lambda: quantum_immanant((1.9,), 2),
         lambda: column_capelli((1.7,), (2,), 2),
         lambda: MPoly(2, 2, {(1.5, 0, 0, 0): 1}),
+        lambda: UglElement(True),
+        lambda: MPoly(2.0, 2),
+        lambda: MPoly(2, True),
+        lambda: quantum_immanant((2, 1), 2.0),
+        lambda: quantum_immanant((2, 1), True),
+        lambda: capelli_determinant(2.0),
+        lambda: capelli_determinant(True),
     ],
-    ids=["tableau", "ugl_element", "quantum_immanant", "column_capelli", "mpoly"],
+    ids=[
+        "tableau",
+        "ugl_element",
+        "quantum_immanant",
+        "column_capelli",
+        "mpoly",
+        "ugl_element_size",
+        "mpoly_n",
+        "mpoly_d",
+        "quantum_immanant_size_float",
+        "quantum_immanant_size_bool",
+        "determinant_size_float",
+        "determinant_size_bool",
+    ],
 )
 def test_constructors_reject_non_integers(build):
-    # a non-int index, part or exponent is rejected, not truncated
+    # a non-int index, part, exponent or ambient size (a float or a bool) is
+    # rejected, not truncated, before the size reaches range()
     with pytest.raises(ValueError):
         build()
 
@@ -540,3 +561,78 @@ def test_integral_fraction_is_stored_as_int():
     assert hash(from_fraction) == hash(from_int)
     assert from_fraction.text() == from_int.text() == "2 · e[1,1]"
     assert from_fraction.to_json() == from_int.to_json()
+
+
+# -- the Capelli determinant against routes that share no code with its
+# row-subset expansion ---------------------------------------------------------
+
+
+def permutation_determinant(n):
+    """sum_sigma (-1)^|sigma| a_{sigma(1),1} ... a_{sigma(n),n}, one product
+    per permutation, a_ij = e_ij + delta_ij (n - i)."""
+    def entry(i, j):
+        return gen(n, i, j) + UglElement.scalar(n, n - i if i == j else 0)
+
+    terms = []
+    for sigma in itertools.permutations(range(n)):
+        product = UglElement.one(n)
+        for col, row in enumerate(sigma):
+            product = product * entry(row + 1, col + 1)
+        terms.append(product * permutation_sign(sigma))
+    return element_sum(n, terms)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_determinant_is_the_permutation_sum(n):
+    assert capelli_determinant(n) == permutation_determinant(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_determinant_is_the_column_immanant_and_acts_as_det(n):
+    det = capelli_determinant(n)
+    word = tuple(range(1, n + 1))
+    assert det == capelli_immanant((n,), word[::-1], word, n)
+    # the Capelli identity: det acts as det(x) det(d/dx), so x_11...x_nn -> det(x)
+    det_x = MPoly.zero(n, n)
+    for sigma in itertools.permutations(range(n)):
+        rows = (row + 1 for row in sigma)
+        det_x = det_x + MPoly.monomial(n, n, zip(rows, word)) * permutation_sign(sigma)
+    assert act_ugl(det, MPoly.monomial(n, n, zip(word, word))) == det_x
+
+
+# -- quantum immanants: relabeled positive compositions against one column map
+# per weak composition ---------------------------------------------------------
+
+
+def weak_composition_columns(shape, n):
+    """The merged column map of quantum_immanant, one immanant column map per
+    weak composition of |shape| into n parts."""
+    h = sum(shape)
+    support = polynomials._character_support(conjugate(shape))
+    weights = {}
+    for comp in compositions(h, n):
+        word = tuple(i for i, c in enumerate(comp, start=1) for _ in range(c))
+        weight = Fraction(hook_number(shape) * column_sign(h))
+        for c in comp:
+            weight /= factorial(c)
+        for key, chi in polynomials._immanant_columns(support, word, word).items():
+            weights[key] = weights.get(key, 0) + chi * weight
+    return weights
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_quantum_immanant_relabels_positive_compositions(n, monkeypatch):
+    seen = []
+
+    def capture(n, weights):
+        seen.append(weights)
+        return sum_columns(n, weights)
+
+    sum_columns = elements._sum_columns
+    monkeypatch.setattr(elements, "_sum_columns", capture)
+    for h in range(6):
+        for shape in partitions_of(h):
+            expected = weak_composition_columns(shape, n)
+            got = quantum_immanant(shape, n)
+            assert seen.pop() == expected, shape
+            assert got == sum_columns(n, expected), shape
