@@ -28,10 +28,9 @@ from .polynomials import (
     _character_support,
     _columns_polynomial,
     _immanant_columns,
-    _solve_against_family,
     column_sign,
+    gc_coordinates,
     poly_sum,
-    right_symmetrized,
     # unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
     solve_exact,
     standard_pairs,
@@ -381,7 +380,7 @@ def standard_capelli_expansion(x: UglElement) -> StdExpansion:
             ),
         )
         found = [residual]
-        for (s, t), coeff in _solve_against_family(top, right_symmetrized).items():
+        for (s, t), coeff in gc_coordinates(top).items():
             terms.append((s, t, coeff))
             found.append(young_capelli(s, t, n) * -coeff)
         residual = element_sum(n, found)

@@ -77,7 +77,7 @@ class MPoly:
         """The product of the variables (i|phi) over the given pairs."""
         exp = [0] * (n * d)
         for i, phi in pairs:
-            if not (1 <= i <= n and 1 <= phi <= d):
+            if not (type(i) is type(phi) is int and 1 <= i <= n and 1 <= phi <= d):
                 raise ValueError(f"variable ({i}|{phi}) out of range for ({n},{d})")
             exp[(i - 1) * d + (phi - 1)] += 1
         return cls(n, d, {tuple(exp): 1})
@@ -152,7 +152,7 @@ class MPoly:
 
     def diff(self, i: int, phi: int) -> "MPoly":
         """Partial derivative with respect to the variable (i|phi)."""
-        if not (1 <= i <= self.n and 1 <= phi <= self.d):
+        if not (type(i) is type(phi) is int and 1 <= i <= self.n and 1 <= phi <= self.d):
             raise ValueError(
                 f"variable ({i}|{phi}) out of range for ({self.n},{self.d})"
             )
@@ -274,9 +274,9 @@ def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
 
 
 def _check_words(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> None:
-    if any(not 1 <= i <= n for i in letters):
+    if any(type(i) is not int or not 1 <= i <= n for i in letters):
         raise ValueError(f"letters {tuple(letters)} out of range 1..{n}")
-    if any(not 1 <= phi <= d for phi in places):
+    if any(type(phi) is not int or not 1 <= phi <= d for phi in places):
         raise ValueError(f"places {tuple(places)} out of range 1..{d}")
 
 
@@ -601,6 +601,10 @@ class StdExpansion:
     terms: tuple[tuple[Tableau, Tableau, Coeff], ...]
 
     def __post_init__(self):
+        check_size("n", self.n)
+        check_size("d", self.d)
+        for s, t, _ in self.terms:
+            _check_words(self.n, self.d, s.word(), t.word())
         ordered = tuple(
             sorted(
                 ((s, t, exact(c)) for s, t, c in self.terms if c),
@@ -658,32 +662,30 @@ def _degrees(word: Sequence[int], size: int) -> tuple[int, ...]:
 
 Content = tuple[tuple[int, ...], tuple[int, ...]]
 
-# (h, n, d) -> the weight-h standard pairs grouped by (row content, column
-# content), in straightening order within each group
-_pairs_memo: dict[tuple[int, int, int], dict[Content, list]] = {}
-
 # (build, n, d, content) -> the standard pairs of that content, the sorted
 # monomials of their polynomials build(n, d, S, T) and the matrix of their
 # coefficients
 _block_memo: dict[tuple, tuple] = {}
 
 
-def _pairs_by_content(h: int, n: int, d: int) -> dict[Content, list]:
-    groups = _pairs_memo.get((h, n, d))
-    if groups is None:
-        groups = {}
-        for s, t in standard_pairs(h, n, d):
-            key = (_degrees(s.word(), n), _degrees(t.word(), d))
-            groups.setdefault(key, []).append((s, t))
-        _pairs_memo[(h, n, d)] = groups
-    return groups
+def _content_pairs(n: int, d: int, content: Content) -> list[tuple[Tableau, Tableau]]:
+    """The standard pairs (S|T) of the block (content(S), content(T)) = content."""
+    rows, cols = content
+    pairs = []
+    for shape in partitions_of(sum(rows)):
+        lefts = enumerate_standard(shape, n)
+        rights = lefts if d == n else enumerate_standard(shape, d)
+        lefts = [s for s in lefts if _degrees(s.word(), n) == rows]
+        rights = [t for t in rights if _degrees(t.word(), d) == cols]
+        pairs.extend(itertools.product(lefts, rights))
+    return pairs
 
 
 def _family_block(build, n: int, d: int, content: Content) -> tuple:
     key = (build, n, d, content)
     block = _block_memo.get(key)
     if block is None:
-        pairs = _pairs_by_content(sum(content[0]), n, d).get(content, [])
+        pairs = _content_pairs(n, d, content)
         polys = [build(n, d, s, t) for s, t in pairs]
         monomials = sorted({exp for poly in polys for exp in poly.terms})
         matrix = [
@@ -750,7 +752,7 @@ def act_generator(i: int, j: int, p: MPoly) -> MPoly:
     place, weighted by its row-j degree (the Euler operator).  Shares no code
     with MPoly.diff, which the oracles below use."""
     n, d = p.n, p.d
-    if not (1 <= i <= n and 1 <= j <= n):
+    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"generator indices ({i},{j}) out of range for n={n}")
     src, dst = (j - 1) * d, (i - 1) * d
     out: dict[ExpVec, Coeff] = {}

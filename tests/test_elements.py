@@ -10,6 +10,7 @@ from capelli import elements, polynomials
 from capelli.enveloping import UglElement, element_sum
 from capelli.polynomials import (
     MPoly,
+    _content_pairs,
     act_column_capelli_diff,
     act_ugl,
     bitableau,
@@ -340,7 +341,6 @@ MIXED_WEIGHTS = [
 def test_blocked_expansion_matches_dense_solve(build, monkeypatch):
     x = build()
     assert len({len(mono) for mono in x.terms}) > 1
-    monkeypatch.setattr(polynomials, "_pairs_memo", {})
     monkeypatch.setattr(polynomials, "_block_memo", {})
     cold = standard_capelli_expansion(x)
     assert polynomials._block_memo
@@ -358,12 +358,11 @@ def test_blocked_expansion_matches_dense_solve(build, monkeypatch):
 def test_expansion_raises_when_the_basis_misses_a_pair(h, n, index, monkeypatch):
     s, t = young_capelli_basis(h, n)[index]
     x = young_capelli(s, t, n)
-    monkeypatch.setattr(polynomials, "_pairs_memo", {})
     monkeypatch.setattr(polynomials, "_block_memo", {})
     monkeypatch.setattr(
         polynomials,
-        "standard_pairs",
-        lambda *args: [pair for pair in standard_pairs(*args) if pair != (s, t)],
+        "_content_pairs",
+        lambda *args: [pair for pair in _content_pairs(*args) if pair != (s, t)],
     )
     with pytest.raises(ArithmeticError):
         standard_capelli_expansion(x)

@@ -12,6 +12,7 @@ from capelli.enveloping import UglElement
 from capelli.polynomials import (
     MPoly,
     StdExpansion,
+    _content_pairs,
     act_column_capelli_diff,
     act_generator,
     act_higher_capelli,
@@ -197,6 +198,30 @@ def test_biproduct_and_bitableau_reject_out_of_range_entries():
         bitableau(2, 2, Tableau(((1, 3),)), Tableau(((1,), (2,))))
 
 
+_NON_INT_INDEX_CALLS = {
+    "monomial": lambda x: MPoly.monomial(2, 2, [(x, 2)]),
+    "variable": lambda x: MPoly.variable(2, 2, 1, x),
+    "diff": lambda x: MPoly.variable(2, 2, 1, 1).diff(x, 1),
+    "act_generator": lambda x: act_generator(x, 2, MPoly.variable(2, 2, 2, 1)),
+    "biproduct": lambda x: biproduct(2, 2, (x,), (1,)),
+    "column_bitableau": lambda x: column_bitableau(2, 2, (1,), (x,)),
+    "immanant": lambda x: immanant(2, 2, (1,), (x,), (1,)),
+    "column_operator": lambda x: act_column_capelli_diff(
+        (x,), (1,), MPoly.variable(2, 2, 1, 1)
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "call", _NON_INT_INDEX_CALLS.values(), ids=list(_NON_INT_INDEX_CALLS)
+)
+def test_polynomial_indices_must_be_ints(call, value):
+    # True was once read as index 1, and 1.5 or 2.0 raised a bare TypeError
+    with pytest.raises(ValueError, match="out of range"):
+        call(value)
+
+
 def test_degree_part_and_homogeneity():
     p = var(1, 1) * var(2, 2) + var(1, 2) * 3 + MPoly.one(2, 2)
     assert not p.is_homogeneous()
@@ -242,6 +267,26 @@ def test_std_expansion_from_json_rejects_bad_input(data):
         data = [dict(entry, left=[[1]], right=[[1]]) for entry in data]
     with pytest.raises(ValueError):
         StdExpansion.from_json(data, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StdExpansion.from_json(
+            [{"left": [[5]], "right": [[1]], "coeff": "1"}], 2, 2
+        ),
+        lambda: StdExpansion.from_json(
+            [{"left": [[1]], "right": [[3]], "coeff": "0"}], 2, 2
+        ),
+        lambda: StdExpansion(2.0, 2, ()),
+        lambda: StdExpansion(2, True, ()),
+    ],
+    ids=["json_letter", "json_place_of_zero_term", "n_float", "d_bool"],
+)
+def test_std_expansion_checks_sizes_and_words(build):
+    # (5|1) at n = 2 was once accepted and printed; only to_polynomial() failed
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize("i, phi", [(0, 1), (3, 1), (1, 0), (1, 3)])
@@ -532,6 +577,28 @@ def test_standard_pairs_sorted_and_standard():
     assert all(s.shape == t.shape and s.shape[0] <= 2 for s, t in pairs)
 
 
+@pytest.mark.parametrize(
+    "h, n, d", [(h, 3, 3) for h in range(5)] + [(3, 2, 3), (3, 3, 2)]
+)
+def test_content_pairs_are_the_standard_pairs_of_one_content(h, n, d):
+    def content(word, size):
+        return tuple(word.count(k) for k in range(1, size + 1))
+
+    groups = {}
+    for s, t in standard_pairs(h, n, d):
+        key = (content(s.word(), n), content(t.word(), d))
+        groups.setdefault(key, set()).add((s, t))
+    rows = [c for c in itertools.product(range(h + 1), repeat=n) if sum(c) == h]
+    cols = [c for c in itertools.product(range(h + 1), repeat=d) if sum(c) == h]
+    found = []
+    for key in itertools.product(rows, cols):
+        block = _content_pairs(n, d, key)
+        assert set(block) == groups.get(key, set()), key
+        found.extend(block)
+    # every standard pair in exactly one block
+    assert sorted(found, key=lambda st: straight_key(*st)) == standard_pairs(h, n, d)
+
+
 def test_straighten_fixes_standard_pairs():
     for h in range(1, 4):
         for s, t in standard_pairs(h, 2, 2):
@@ -629,12 +696,11 @@ def test_straighten_mixed_contents_is_linear():
 @pytest.mark.parametrize("index", range(len(standard_pairs(2, 2, 2))))
 def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
     s, t = standard_pairs(2, 2, 2)[index]
-    monkeypatch.setattr(polynomials, "_pairs_memo", {})
     monkeypatch.setattr(polynomials, "_block_memo", {})
     monkeypatch.setattr(
         polynomials,
-        "standard_pairs",
-        lambda *args: [pair for pair in standard_pairs(*args) if pair != (s, t)],
+        "_content_pairs",
+        lambda *args: [pair for pair in _content_pairs(*args) if pair != (s, t)],
     )
     with pytest.raises(ArithmeticError):
         straighten(bitableau(2, 2, s, t))
@@ -644,7 +710,7 @@ def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
 
 def test_block_memo_keeps_the_two_families_apart(monkeypatch):
     # every letter and every place once: a block of several standard pairs
-    block = polynomials._pairs_by_content(3, 3, 3)[((1, 1, 1), (1, 1, 1))]
+    block = _content_pairs(3, 3, ((1, 1, 1), (1, 1, 1)))
     assert len(block) > 1
     coeffs = {st: Fraction(k + 1, 2) for k, st in enumerate(block)}
     p = poly_sum(3, 3, (bitableau(3, 3, s, t) * c for (s, t), c in coeffs.items()))
@@ -654,7 +720,6 @@ def test_block_memo_keeps_the_two_families_apart(monkeypatch):
     assert p != q
     expected = StdExpansion(3, 3, tuple((s, t, c) for (s, t), c in coeffs.items()))
     for straighten_first in (True, False):
-        monkeypatch.setattr(polynomials, "_pairs_memo", {})
         monkeypatch.setattr(polynomials, "_block_memo", {})
         if straighten_first:
             assert straighten(p) == expected
