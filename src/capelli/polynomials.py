@@ -655,11 +655,6 @@ class StdExpansion:
         )
 
 
-def _degrees(word: Sequence[int], size: int) -> tuple[int, ...]:
-    """Multiplicity of each symbol 1..size in a word."""
-    return tuple(word.count(symbol) for symbol in range(1, size + 1))
-
-
 Content = tuple[tuple[int, ...], tuple[int, ...]]
 
 # (build, n, d, content) -> the standard pairs of that content, the sorted
@@ -673,10 +668,11 @@ def _content_pairs(n: int, d: int, content: Content) -> list[tuple[Tableau, Tabl
     rows, cols = content
     pairs = []
     for shape in partitions_of(sum(rows)):
-        lefts = enumerate_standard(shape, n)
-        rights = lefts if d == n else enumerate_standard(shape, d)
-        lefts = [s for s in lefts if _degrees(s.word(), n) == rows]
-        rights = [t for t in rights if _degrees(t.word(), d) == cols]
+        lefts = enumerate_standard(shape, n, rows)
+        if (n, rows) == (d, cols):
+            rights = lefts
+        else:
+            rights = enumerate_standard(shape, d, cols)
         pairs.extend(itertools.product(lefts, rights))
     return pairs
 

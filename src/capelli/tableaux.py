@@ -157,10 +157,51 @@ class Tableau:
         return cls(tuple(rows))
 
 
-def enumerate_standard(shape, n: int) -> list[Tableau]:
-    """All standard tableaux of the shape over 1..n, in row-word order:
-    the row-strict tableaux whose columns weakly increase."""
-    return [t for t in enumerate_row_strict(shape, n) if t.is_standard()]
+def enumerate_standard(shape, n: int, content=None) -> list[Tableau]:
+    """All standard tableaux of the shape over 1..n, in row-word order.
+
+    The tableaux are filled directly, rows top to bottom and each row left
+    to right: cell (r, c) takes the letters from max(left neighbour + 1,
+    entry above) to n, so rows come out strictly increasing and columns
+    weakly increasing.  With ``content`` (content[k-1] copies of letter k)
+    only the tableaux of that content are listed: letter k is placed only
+    while fewer than content[k-1] copies of it are placed, and a content
+    whose total is not the weight of the shape gives [].
+    """
+    shape = check_partition(shape)
+    h = sum(shape)
+    if content is None:
+        # no letter can run out
+        spare = [h] * n
+    else:
+        spare = list(content)
+        if len(spare) != n:
+            raise ValueError(f"content needs one entry per letter 1..{n}: {content}")
+        if any(type(k) is not int or k < 0 for k in spare):
+            raise ValueError(f"content entries must be nonnegative ints: {content}")
+        if sum(spare) != h:
+            return []
+    cells = [(r, c) for r, row_len in enumerate(shape) for c in range(row_len)]
+    rows = [[0] * row_len for row_len in shape]
+    found = []
+
+    def fill(pos):
+        if pos == h:
+            found.append(Tableau(tuple(map(tuple, rows))))
+            return
+        r, c = cells[pos]
+        row = rows[r]
+        low = max(row[c - 1] + 1 if c else 1, rows[r - 1][c] if r else 1)
+        # leave room for the larger letters right of this cell
+        for k in range(low, n - len(row) + c + 2):
+            if spare[k - 1]:
+                spare[k - 1] -= 1
+                row[c] = k
+                fill(pos + 1)
+                spare[k - 1] += 1
+
+    fill(0)
+    return found
 
 
 def enumerate_row_strict(shape, n: int) -> list[Tableau]:

@@ -38,6 +38,7 @@ from capelli.polynomials import (
 from capelli.tableaux import (
     Tableau,
     column_permuted_family,
+    compositions,
     enumerate_row_strict,
     partitions_of,
 )
@@ -599,6 +600,30 @@ def test_content_pairs_are_the_standard_pairs_of_one_content(h, n, d):
     assert sorted(found, key=lambda st: straight_key(*st)) == standard_pairs(h, n, d)
 
 
+def matrix_count(rows, cols):
+    """Nonnegative integer matrices with row sums rows and column sums cols,
+    counted row by row."""
+    if not rows:
+        return int(not any(cols))
+    count = 0
+    for first in itertools.product(*(range(c + 1) for c in cols)):
+        if sum(first) == rows[0]:
+            rest = tuple(c - k for c, k in zip(cols, first))
+            count += matrix_count(rows[1:], rest)
+    return count
+
+
+@pytest.mark.parametrize("n, d, h", [(4, 4, 4), (3, 4, 4), (4, 3, 4), (3, 3, 5)])
+def test_every_block_has_the_size_rsk_predicts(n, d, h):
+    # RSK (Knuth 1970): pairs of semistandard tableaux of one shape with
+    # contents (rows, cols) match the matrices with those row and column
+    # sums; transposing makes them the standard pairs of that block
+    for rows in compositions(h, n):
+        for cols in compositions(h, d):
+            block = _content_pairs(n, d, (rows, cols))
+            assert len(block) == matrix_count(rows, cols), (rows, cols)
+
+
 def test_straighten_fixes_standard_pairs():
     for h in range(1, 4):
         for s, t in standard_pairs(h, 2, 2):
@@ -702,9 +727,9 @@ def test_straightening_raises_when_the_basis_misses_a_pair(index, monkeypatch):
         "_content_pairs",
         lambda *args: [pair for pair in _content_pairs(*args) if pair != (s, t)],
     )
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="inconsistent system"):
         straighten(bitableau(2, 2, s, t))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="inconsistent system"):
         gc_coordinates(right_symmetrized(2, 2, s, t))
 
 

@@ -123,15 +123,68 @@ def test_from_word_round_trip(t):
     assert Tableau.from_word(t.shape, t.word()) == t
 
 
+def standard_by_filter(shape, n):
+    """Every filling of the shape over 1..n, in row-word order, kept when
+    standard."""
+    fillings = (
+        Tableau.from_word(shape, word)
+        for word in itertools.product(range(1, n + 1), repeat=sum(shape))
+    )
+    return [t for t in fillings if t.is_standard()]
+
+
+def letter_counts(t, n):
+    return tuple(t.word().count(k) for k in range(1, n + 1))
+
+
 @pytest.mark.parametrize("h", range(5))
 @pytest.mark.parametrize("n", range(1, 4))
 def test_enumerate_standard_matches_filter_over_all_fillings(h, n):
     for shape in partitions_of(h):
-        fillings = (
-            Tableau.from_word(shape, word)
-            for word in itertools.product(range(1, n + 1), repeat=h)
-        )
-        assert enumerate_standard(shape, n) == [t for t in fillings if t.is_standard()]
+        assert enumerate_standard(shape, n) == standard_by_filter(shape, n)
+
+
+@pytest.mark.parametrize("h", range(5))
+@pytest.mark.parametrize("n", range(1, 4))
+def test_content_directed_list_is_the_filters_list(h, n):
+    for shape in partitions_of(h):
+        standard = standard_by_filter(shape, n)
+        for content in compositions(h, n):
+            expected = [t for t in standard if letter_counts(t, n) == content]
+            assert enumerate_standard(shape, n, content) == expected, content
+
+
+@pytest.mark.parametrize("h", range(7))
+@pytest.mark.parametrize("n", range(1, 6))
+def test_contents_partition_the_standard_tableaux(h, n):
+    for shape in partitions_of(h):
+        pieces = []
+        for content in compositions(h, n):
+            piece = enumerate_standard(shape, n, content)
+            assert all(letter_counts(t, n) == content for t in piece)
+            pieces.extend(piece)
+            # Kostka symmetry: the count depends on the content only up to
+            # the order of its parts
+            ordered = tuple(sorted(content, reverse=True))
+            assert len(piece) == len(enumerate_standard(shape, n, ordered))
+        assert sorted(pieces, key=Tableau.word) == enumerate_standard(shape, n)
+
+
+def test_content_of_another_total_gives_no_tableaux():
+    assert enumerate_standard((2, 1), 3, (1, 1, 0)) == []
+    assert enumerate_standard((2, 1), 3, (1, 1, 2)) == []
+    assert enumerate_standard((), 2, (0, 0)) == [Tableau(())]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [(1, 2), (1, 1, 1, 0), (4, -1, 0), (1.0, 2, 0), (True, 2, 0), ("1", 2, 0)],
+    ids=["short", "long", "negative", "float", "bool", "str"],
+)
+def test_bad_content_is_rejected_in_one_line(content):
+    with pytest.raises(ValueError) as err:
+        enumerate_standard((2, 1), 3, content)
+    assert "\n" not in str(err.value)
 
 
 def test_enumerate_standard_counts():
