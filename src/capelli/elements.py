@@ -18,7 +18,7 @@ from math import factorial, prod
 
 # unused here; test_wrappers_cover_every_binding_and_time_spans asserts it
 from .characters import character
-from .enveloping import UglElement, element_sum
+from .enveloping import Monomial, UglElement, element_sum
 from .polynomials import (
     ColumnKey,
     MPoly,
@@ -44,7 +44,7 @@ from .tableaux import (
     hook_number,
     row_permutations,
 )
-from .terms import Coeff, check_size
+from .terms import Coeff, add_terms, check_size, exact, settle
 
 _column_memo: dict[tuple, UglElement] = {}
 
@@ -87,14 +87,19 @@ def _column_sorted(pairs: tuple[tuple[int, int], ...], n: int) -> UglElement:
         result = UglElement.generator(n, *pairs[0])
     else:
         (i1, j1), rest = pairs[0], pairs[1:]
-        top_sign = -1 if (h - 1) % 2 else 1
-        parts = [UglElement.generator(n, i1, j1) * _column_sorted(rest, n) * top_sign]
-        contract_sign = -1 if (h - 2) % 2 else 1
+        # the product's term map is fresh, so it is signed and merged in
+        # place: (-1)^(h-1) on the product, (-1)^h on each contraction
+        result = _column_sorted(pairs[:1], n) * _column_sorted(rest, n)
+        terms = result.terms
+        sign = -1 if h % 2 else 1
+        if sign == 1:
+            for mono, coeff in terms.items():
+                terms[mono] = -coeff
         for k, (ik, jk) in enumerate(rest):
             if ik == j1:
-                reduced = ((i1, jk),) + rest[:k] + rest[k + 1 :]
-                parts.append(_column_sorted(tuple(sorted(reduced)), n) * contract_sign)
-        result = element_sum(n, parts)
+                reduced = tuple(sorted(((i1, jk),) + rest[:k] + rest[k + 1 :]))
+                contraction = _column_sorted(reduced, n).terms.items()
+                add_terms(terms, ((mono, sign * coeff) for mono, coeff in contraction))
     _column_memo[key] = result
     return result
 
@@ -177,16 +182,15 @@ def column_capelli_literal(lefts, rights, n: int) -> UglElement:
 
 def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
     """Sum of weight * [lefts | rights] over a merged column map."""
-    return element_sum(
-        n,
-        (
-            column_capelli(
+    acc: dict[Monomial, Coeff] = {}
+    for key, weight in weights.items():
+        weight = exact(weight)  # an integral Fraction weight would leave the ints
+        if weight:
+            column = column_capelli(
                 tuple(i for i, _ in key), tuple(j for _, j in key), n
-            ) * weight
-            for key, weight in weights.items()
-            if weight
-        ),
-    )
+            )
+            add_terms(acc, ((mono, c * weight) for mono, c in column.terms.items()))
+    return UglElement.zero(n)._wrap(settle(acc))
 
 
 def _add_double_young_columns(
@@ -258,26 +262,37 @@ def quantum_immanant(shape, n: int) -> UglElement:
                     Cimm_{conjugate(shape)}[diag; diag]
 
     with diag the weakly increasing diagonal word of each composition.  A
-    composition with m nonzero parts is the positive one comp[:m] with its
-    letters relabeled increasingly into 1..n (0! = 1, and relabeled keys stay
-    sorted), so columns are enumerated once per positive composition."""
+    composition with m nonzero parts is a positive one over the letters 1..m
+    relabeled increasingly into 1..n (0! = 1).  So the positive compositions
+    of each length m are summed once, into P_m, and P_m is added under each
+    of the C(n, m) increasing relabelings: e_ij -> e_{L(i) L(j)} keeps the
+    bracket and the order of pairs, so it sends normal monomials to normal
+    monomials and each column over 1..m to its relabeled column."""
     shape, n = check_partition(shape), check_size("n", n)
     h = sum(shape)
     support = _character_support(conjugate(shape))
     signed_hooks = hook_number(shape) * column_sign(h)
-    weights: dict[ColumnKey, Fraction] = {}
+    by_length: dict[int, dict[ColumnKey, Fraction]] = {}
     for comp in compositions(h, n):
         m = n - comp.count(0)
         if 0 in comp[:m]:
-            continue  # reached by relabeling the positive composition comp[:m]
+            continue  # a relabeling of the positive composition comp[:m]
         word = _diagonal_word(comp)
         weight = Fraction(signed_hooks, prod(map(factorial, comp)))
-        merged = _immanant_columns(support, word, word)
-        columns = [(key, chi * weight) for key, chi in merged.items()]
+        weights = by_length.setdefault(m, {})
+        for key, chi in _immanant_columns(support, word, word).items():
+            weights[key] = chi * weight
+    acc: dict[Monomial, Coeff] = {}
+    for m, weights in by_length.items():
+        partial = _sum_columns(n, weights).terms.items()
         for labels in itertools.combinations(range(1, n + 1), m):
-            for key, value in columns:
-                weights[tuple((labels[i - 1], labels[j - 1]) for i, j in key)] = value
-    return _sum_columns(n, weights)
+            image = {
+                (i, j): (labels[i - 1], labels[j - 1])
+                for i in range(1, m + 1)
+                for j in range(1, m + 1)
+            }.__getitem__
+            add_terms(acc, ((tuple(map(image, mono)), c) for mono, c in partial))
+    return UglElement.zero(n)._wrap(settle(acc))
 
 
 def schur_element(shape, n: int) -> UglElement:

@@ -226,14 +226,31 @@ class UglElement:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int) -> "UglElement":
+        """The element of a list of {"coeff", "monomial"} terms; a ValueError
+        naming the term's index for anything else."""
         if not isinstance(data, list):
             raise ValueError(f"expected a list of terms, got {type(data).__name__}")
-        # one checked element per entry, so a term that cancels is still checked
-        def term(entry: dict) -> "UglElement":
-            mono = tuple(tuple(map(parse_int, g)) for g in entry["monomial"])
+
+        def term(entry) -> "UglElement":
+            if not (isinstance(entry, dict) and {"coeff", "monomial"} <= entry.keys()):
+                raise ValueError('expected an object with "coeff" and "monomial"')
+            gens = entry["monomial"]
+            if not isinstance(gens, list):
+                raise ValueError(f"monomial {gens!r} is not a list of generators")
+            for g in gens:
+                if not (isinstance(g, list) and len(g) == 2):
+                    raise ValueError(f"generator {g!r} is not an [i, j] pair")
+            mono = tuple((parse_int(i), parse_int(j)) for i, j in gens)
             return cls(n, {mono: parse_coeff(entry["coeff"])})
 
-        return element_sum(n, map(term, data))
+        # one checked element per entry, so a term that cancels is still checked
+        elements = []
+        for index, entry in enumerate(data):
+            try:
+                elements.append(term(entry))
+            except ValueError as exc:
+                raise ValueError(f"term {index}: {exc}") from None
+        return element_sum(n, elements)
 
     def __repr__(self) -> str:
         return f"UglElement(n={self.n}, {self.text()})"

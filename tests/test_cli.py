@@ -141,6 +141,41 @@ def test_expand_standard_rejects_malformed_json_with_one_line(element):
     assert proc.stderr.count("\n") == 1
 
 
+NOT_A_TERM = 'expected an object with "coeff" and "monomial"'
+E11 = {"coeff": "1", "monomial": [[1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        ([5], f"term 0: {NOT_A_TERM}"),
+        ([{"monomial": [[1, 1]]}], f"term 0: {NOT_A_TERM}"),
+        ([E11, {"coeff": "1"}], f"term 1: {NOT_A_TERM}"),
+        ([dict(E11, monomial=3)], "term 0: monomial 3 is not a list of generators"),
+        ([dict(E11, monomial=[1])], "term 0: generator 1 is not an [i, j] pair"),
+        ([dict(E11, monomial=[[1]])], "term 0: generator [1] is not an [i, j] pair"),
+        (
+            [dict(E11, monomial=[[1, 2, 1]])],
+            "term 0: generator [1, 2, 1] is not an [i, j] pair",
+        ),
+    ],
+    ids=[
+        "term_not_object",
+        "missing_coeff",
+        "missing_monomial",
+        "monomial_not_list",
+        "generator_not_list",
+        "generator_too_short",
+        "generator_too_long",
+    ],
+)
+def test_expand_standard_names_the_malformed_term(terms, message):
+    proc = run_cli("expand-standard", "--n", "2", "--element", json.dumps(terms))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: bad element: {message}\n"
+
+
 def test_straighten_rejects_non_integer_entry():
     # was read as [[1]] and printed (1|1)
     proc = run_cli(

@@ -478,7 +478,9 @@ def test_capelli_immanant_is_koszul_image_of_immanant(h, n):
                 ) == capelli_immanant(shape, lefts, rights, n), (shape, lefts, rights)
 
 
-@pytest.mark.parametrize("h, n", SMALL)
+# past the letters of a composition: at h = 4, n = 5 every composition has a
+# zero part and its columns are relabeled from fewer letters
+@pytest.mark.parametrize("h, n", SMALL + [(3, 4), (3, 5), (4, 4), (4, 5)])
 def test_quantum_immanant_is_its_literal_sum(h, n):
     for shape in partitions_of(h):
         assert quantum_immanant(shape, n) == literal_quantum(shape, n), shape
@@ -619,8 +621,38 @@ def weak_composition_columns(shape, n):
     return weights
 
 
+def relabel(mono, labels):
+    """The monomial with each e_ij read as e_{labels[i-1], labels[j-1]}."""
+    return tuple((labels[i - 1], labels[j - 1]) for i, j in mono)
+
+
+@pytest.mark.parametrize("m", range(1, 4))
+def test_columns_commute_with_increasing_relabelings(m):
+    # an increasing injection L: 1..m -> 1..n keeps the bracket and the order
+    # of pairs, so [L o l | L o r] is the term-by-term relabeling of [l | r];
+    # the right side is the unmemoized oracle at ambient m
+    for h in range(4):
+        words = list(itertools.product(range(1, m + 1), repeat=h))
+        for lefts in words:
+            for rights in words:
+                oracle = column_capelli_literal(lefts, rights, m).terms
+                for n in range(m, 6):
+                    for labels in itertools.combinations(range(1, n + 1), m):
+                        expected = {
+                            relabel(mono, labels): c for mono, c in oracle.items()
+                        }
+                        got = column_capelli(
+                            tuple(labels[i - 1] for i in lefts),
+                            tuple(labels[j - 1] for j in rights),
+                            n,
+                        )
+                        assert got.terms == expected, (lefts, rights, labels)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_quantum_immanant_relabels_positive_compositions(n, monkeypatch):
+    # one partial map per number m of parts, over the letters 1..m; its
+    # increasing relabelings into 1..n are the weak compositions' columns
     seen = []
 
     def capture(n, weights):
@@ -633,5 +665,20 @@ def test_quantum_immanant_relabels_positive_compositions(n, monkeypatch):
         for shape in partitions_of(h):
             expected = weak_composition_columns(shape, n)
             got = quantum_immanant(shape, n)
-            assert seen.pop() == expected, shape
+            relabeled, lengths = {}, []
+            for weights in seen:
+                m = max((i for key in weights for pair in key for i in pair), default=0)
+                lengths.append(m)
+                assert all(
+                    {i for pair in key for i in pair} == set(range(1, m + 1))
+                    for key in weights
+                ), shape
+                for labels in itertools.combinations(range(1, n + 1), m):
+                    for key, weight in weights.items():
+                        image = relabel(key, labels)
+                        assert image not in relabeled, (shape, image)
+                        relabeled[image] = weight
+            seen.clear()
+            assert len(set(lengths)) == len(lengths), shape
+            assert relabeled == expected, shape
             assert got == sum_columns(n, expected), shape
