@@ -23,11 +23,13 @@ from .polynomials import (
     ColumnKey,
     MPoly,
     StdExpansion,
-    _add_bitableau_columns,
-    _add_young_columns,
+    _add_columns,
+    _add_tableau_columns,
+    _bitableau_table,
     _character_support,
     _columns_polynomial,
-    _immanant_columns,
+    _double_young_table,
+    _young_table,
     column_sign,
     gc_coordinates,
     poly_sum,
@@ -42,7 +44,6 @@ from .tableaux import (
     conjugate,
     enumerate_row_strict,
     hook_number,
-    row_permutations,
 )
 from .terms import Coeff, add_terms, check_size, exact, settle
 
@@ -193,25 +194,11 @@ def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
     return UglElement.zero(n)._wrap(settle(acc))
 
 
-def _add_double_young_columns(
-    weights: dict, left: Tableau, right: Tableau, coeff
-) -> None:
-    """Add coeff * [box S|T]; see double_young_capelli."""
-    if left.shape != right.shape:
-        return
-    coeff *= column_sign(left.weight)
-    for sign, perms in row_permutations(right.shape):
-        variant = Tableau(
-            tuple(tuple(row[c] for c in perm) for row, perm in zip(right.rows, perms))
-        )
-        _add_young_columns(weights, left, variant, sign * coeff)
-
-
 def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Image [S|T] of the bitableau (S|T): the signed sum of column Capelli
     elements over the multipermutation expansion.  Zero when shapes differ."""
     weights: dict[ColumnKey, int] = {}
-    _add_bitableau_columns(weights, left, right, 1)
+    _add_tableau_columns(weights, _bitableau_table, left, right)
     return _sum_columns(n, weights)
 
 
@@ -219,7 +206,7 @@ def young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Right symmetrized element [S|box T]: sum of [S|Tbar] over all column
     permutations Tbar of T, with multiplicity."""
     weights: dict[ColumnKey, int] = {}
-    _add_young_columns(weights, left, right, 1)
+    _add_tableau_columns(weights, _young_table, left, right)
     return _sum_columns(n, weights)
 
 
@@ -231,7 +218,7 @@ def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     summed over all tuples sigma of within-row permutations of T (a signed
     multiset: repeated row entries contribute repeated variants)."""
     weights: dict[ColumnKey, int] = {}
-    _add_double_young_columns(weights, left, right, 1)
+    _add_tableau_columns(weights, _double_young_table, left, right)
     return _sum_columns(n, weights)
 
 
@@ -245,7 +232,7 @@ def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
     lefts, rights = _check_column(lefts, rights, n)
     if len(lefts) != h:
         raise ValueError(f"index words must have length {h}")
-    return _sum_columns(n, _immanant_columns(_character_support(shape), lefts, rights))
+    return _sum_columns(n, _add_columns({}, _character_support(shape), lefts, rights))
 
 
 def _diagonal_word(comp: tuple[int, ...]) -> tuple[int, ...]:
@@ -280,7 +267,7 @@ def quantum_immanant(shape, n: int) -> UglElement:
         word = _diagonal_word(comp)
         weight = Fraction(signed_hooks, prod(map(factorial, comp)))
         weights = by_length.setdefault(m, {})
-        for key, chi in _immanant_columns(support, word, word).items():
+        for key, chi in _add_columns({}, support, word, word).items():
             weights[key] = chi * weight
     acc: dict[Monomial, Coeff] = {}
     for m, weights in by_length.items():
@@ -315,7 +302,7 @@ def schur_element_dyc(shape, n: int) -> UglElement:
     shape = check_partition(shape)
     weights: dict[ColumnKey, int] = {}
     for s in enumerate_row_strict(conjugate(shape), n):
-        _add_double_young_columns(weights, s, s, 1)
+        _add_tableau_columns(weights, _double_young_table, s, s)
     return _sum_columns(n, weights) / hook_number(shape)
 
 
@@ -413,5 +400,5 @@ def koszul_map(x: UglElement) -> MPoly:
     elements and replace each [S|box T] by the polynomial (S|box T)."""
     weights: dict[ColumnKey, Fraction] = {}
     for s, t, c in standard_capelli_expansion(x).terms:
-        _add_young_columns(weights, s, t, c)
+        _add_tableau_columns(weights, _young_table, s, t, c)
     return _columns_polynomial(x.n, x.n, weights)

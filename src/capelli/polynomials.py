@@ -24,12 +24,10 @@ from .characters import character, dim_irrep
 from .tableaux import (
     Tableau,
     check_partition,
-    column_permuted_family,
     conjugate,
     enumerate_standard,
     partitions_of,
     permutation_sign,
-    row_permutations,
 )
 from .terms import Coeff, add_terms, check_size, exact, parse_coeff, parse_int
 from .terms import scale_terms, settle, signed_text
@@ -340,85 +338,47 @@ def expand_into_columns(
 ) -> list[tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Expansion of a bitableau into full-depth column pairs.
 
-    One term per tuple of row permutations of the left tableau; the sign is
-    the product of the permutation signs, and the cells are read column by
-    column, top to bottom.  Summing sign * column_bitableau over the result
-    reproduces bitableau(left, right) exactly.
+    One term per row permutation alpha of _bitableau_table, with weight
+    sgn alpha; the cells are read column by column, top to bottom.  Summing
+    sign * column_bitableau over the result reproduces bitableau(left,
+    right) exactly.
     """
     if left.shape != right.shape:
         return []
-    shape = left.shape
-    out = []
-    for sign, perms in row_permutations(shape):
-        lefts, rights = [], []
-        for c in range(shape[0] if shape else 0):
-            for r, k in enumerate(shape):
-                if c < k:
-                    lefts.append(left.rows[r][perms[r][c]])
-                    rights.append(right.rows[r][c])
-        out.append((sign, (tuple(lefts), tuple(rights))))
-    return out
+    _, cols = _row_major_blocks(left.shape)
+    cells = [k for col in cols for k in col]
+    lword, rword = left.word(), right.word()
+    rights = tuple(rword[k] for k in cells)
+    return [
+        (sign, (tuple(lword[alpha[k]] for k in cells), rights))
+        for alpha, sign in _bitableau_table(left.shape).items()
+    ]
 
 
 # -- column maps: each family merges its columns into row-sorted key -> weight;
 # _columns_polynomial realizes a map here, elements._sum_columns in U(gl(n)).
+# A family is a group-algebra table {pi: w} adding w * (lefts o pi | rights): pi
+# permutes the cells 0..h-1 in row-major order, R and C are the row and column
+# groups of that filling, and a product xy of permutations is x after y.
 
 ColumnKey = tuple[tuple[int, int], ...]
+Table = dict[tuple[int, ...], int]
 
 
-def _add_column(weights: dict, lefts, rights, coeff) -> None:
-    key = tuple(sorted(zip(lefts, rights)))
-    weights[key] = weights.get(key, 0) + coeff
-
-
-def _add_bitableau_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
-    """Add coeff * (S|T): the signed multipermutation expansion into columns."""
-    for sign, (lefts, rights) in expand_into_columns(left, right):
-        _add_column(weights, lefts, rights, sign * coeff)
-
-
-def _add_young_columns(weights: dict, left: Tableau, right: Tableau, coeff) -> None:
-    """Add coeff * (S|box T): (S|Tbar) over the column permutations of T."""
-    for rbar in column_permuted_family(right):
-        _add_bitableau_columns(weights, left, rbar, coeff)
-
-
-@functools.cache
-def _character_support(shape: tuple[int, ...]) -> tuple[tuple[tuple, int], ...]:
-    """(sigma, chi_shape(sigma)) for every permutation of nonzero character."""
-    support = []
-    for sigma in itertools.permutations(range(sum(shape))):
-        chi = character(shape, sigma)
-        if chi:
-            support.append((sigma, chi))
-    return tuple(support)
-
-
-def _immanant_columns(support, lefts, rights) -> dict[ColumnKey, int]:
-    """The merged column map of the immanant [lefts; rights] over a support."""
-    weights: dict[ColumnKey, int] = {}
-    for sigma, chi in support:
-        _add_column(weights, (lefts[k] for k in sigma), rights, chi)
+def _add_columns(weights: dict, table: Table, lefts, rights, coeff=1) -> dict:
+    """Add w * coeff at the column key of (lefts o pi | rights) for each
+    pi -> w of the table, keeping a key whose weight cancels; returns weights."""
+    for pi, w in table.items():
+        key = tuple(sorted(zip([lefts[k] for k in pi], rights)))
+        weights[key] = weights.get(key, 0) + w * coeff
     return weights
 
 
-def _columns_polynomial(n: int, d: int, weights: dict[ColumnKey, Rational]) -> MPoly:
-    """Sum of weight * column_bitableau over a merged column map.  Every key,
-    even one whose weight cancelled to 0, is range-checked by MPoly.monomial."""
-    columns = (
-        MPoly.monomial(n, d, key) * (w * column_sign(len(key)))
-        for key, w in weights.items()
-    )
-    return poly_sum(n, d, columns)
-
-
-def right_symmetrized(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
-    """Sum of bitableau(left, rbar) over all column permutations rbar of right,
-    counted with multiplicity."""
-    _check_words(n, d, left.word(), right.word())  # the map is empty if shapes differ
-    weights: dict[ColumnKey, int] = {}
-    _add_young_columns(weights, left, right, 1)
-    return _columns_polynomial(n, d, weights)
+def _add_tableau_columns(weights: dict, table_fn, left: Tableau, right: Tableau, coeff=1):
+    """Add coeff times the table_fn(shape) family of (left|right); nothing
+    when the shapes differ."""
+    if left.shape == right.shape:
+        _add_columns(weights, table_fn(left.shape), left.word(), right.word(), coeff)
 
 
 def _row_major_blocks(shape: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -444,6 +404,69 @@ def _block_permutations(blocks: list[list[int]], h: int):
             for src, dst in zip(block, image):
                 g[src] = dst
         yield tuple(g)
+
+
+@functools.cache
+def _bitableau_table(shape: tuple[int, ...]) -> Table:
+    """(S|T): the signed row sum A = {alpha: sgn alpha} over R."""
+    rows, _ = _row_major_blocks(shape)
+    alphas = _block_permutations(rows, sum(shape))
+    return {alpha: permutation_sign(alpha) for alpha in alphas}
+
+
+@functools.cache
+def _young_table(shape: tuple[int, ...]) -> Table:
+    """(S|box T): the Young symmetrizer AC = {alpha beta: sgn alpha} over R x C;
+    R and C meet only in the identity, so no two products coincide."""
+    _, cols = _row_major_blocks(shape)
+    betas = list(_block_permutations(cols, sum(shape)))
+    return {
+        tuple(alpha[k] for k in beta): sign
+        for alpha, sign in _bitableau_table(shape).items()
+        for beta in betas
+    }
+
+
+@functools.cache
+def _double_young_table(shape: tuple[int, ...]) -> Table:
+    """[box S|T]: (-1)^C(h,2) ACA, merged and without zero weights."""
+    sign = column_sign(sum(shape))
+    table: Table = {}
+    for y, wy in _young_table(shape).items():
+        for alpha, wa in _bitableau_table(shape).items():
+            key = tuple(y[k] for k in alpha)
+            table[key] = table.get(key, 0) + sign * wy * wa
+    return {pi: w for pi, w in table.items() if w}
+
+
+@functools.cache
+def _character_support(shape: tuple[int, ...]) -> Table:
+    """The immanant's table {sigma: chi_shape(sigma)} where chi is nonzero."""
+    support = {}
+    for sigma in itertools.permutations(range(sum(shape))):
+        chi = character(shape, sigma)
+        if chi:
+            support[sigma] = chi
+    return support
+
+
+def _columns_polynomial(n: int, d: int, weights: dict[ColumnKey, Rational]) -> MPoly:
+    """Sum of weight * column_bitableau over a merged column map.  Every key,
+    even one whose weight cancelled to 0, is range-checked by MPoly.monomial."""
+    columns = (
+        MPoly.monomial(n, d, key) * (w * column_sign(len(key)))
+        for key, w in weights.items()
+    )
+    return poly_sum(n, d, columns)
+
+
+def right_symmetrized(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
+    """Sum of bitableau(left, rbar) over all column permutations rbar of right,
+    counted with multiplicity."""
+    _check_words(n, d, left.word(), right.word())  # the map is empty if shapes differ
+    weights: dict[ColumnKey, int] = {}
+    _add_tableau_columns(weights, _young_table, left, right)
+    return _columns_polynomial(n, d, weights)
 
 
 def right_symmetrized_via_symmetrizer(
@@ -485,9 +508,8 @@ def immanant(
     lefts, rights = tuple(lefts), tuple(rights)
     if len(lefts) != h or len(rights) != h:
         raise ValueError(f"index words must have length {h}")
-    return _columns_polynomial(
-        n, d, _immanant_columns(_character_support(shape), lefts, rights)
-    )
+    weights = _add_columns({}, _character_support(shape), lefts, rights)
+    return _columns_polynomial(n, d, weights)
 
 
 def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
@@ -503,8 +525,7 @@ def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:
         pairs = p.variables_of(exp)
         lefts = tuple(i for i, _ in pairs)
         rights = tuple(phi for _, phi in pairs)
-        for key, chi in _immanant_columns(support, lefts, rights).items():
-            weights[key] = weights.get(key, 0) + chi * coeff * sign
+        _add_columns(weights, support, lefts, rights, coeff * sign)
     return _columns_polynomial(p.n, p.d, weights)
 
 

@@ -258,17 +258,6 @@ def permutation_sign(p: tuple[int, ...]) -> int:
     return -1 if inversions % 2 else 1
 
 
-def row_permutations(shape):
-    """(sign, perms) for every tuple of within-row permutations of a shape:
-    perms[r] is a permutation of range(shape[r]) as an image tuple, and sign
-    is the product of their signs."""
-    for perms in itertools.product(*(itertools.permutations(range(k)) for k in shape)):
-        sign = 1
-        for perm in perms:
-            sign *= permutation_sign(perm)
-        yield sign, perms
-
-
 def cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
     """Cycle lengths, as a partition; p is an image tuple on 0..h-1."""
     seen = [False] * len(p)

@@ -82,10 +82,12 @@ def signed_text(pairs: Iterable[tuple[str, Rational]]) -> str:
 
 def parse_coeff(raw) -> Fraction:
     """A JSON coefficient ("3", "-1/2", 2) as a Fraction; ValueError unless it
-    is a finite rational."""
+    is a string or an integer (not 0.1 or true) naming a finite rational."""
+    if type(raw) is not int and not isinstance(raw, str):
+        raise ValueError(f"coefficient {raw!r} is not a string or an integer")
     try:
         return Fraction(raw)
-    except ArithmeticError:  # "1/0", or a JSON Infinity
+    except ArithmeticError:  # "1/0"
         raise ValueError(f"coefficient {raw!r} is not a finite rational") from None
 
 

@@ -158,6 +158,18 @@ E11 = {"coeff": "1", "monomial": [[1, 1]]}
             [dict(E11, monomial=[[1, 2, 1]])],
             "term 0: generator [1, 2, 1] is not an [i, j] pair",
         ),
+        (
+            [dict(E11, coeff=0.1)],
+            "term 0: coefficient 0.1 is not a string or an integer",
+        ),
+        (
+            [dict(E11, coeff=True)],
+            "term 0: coefficient True is not a string or an integer",
+        ),
+        (
+            [dict(E11, coeff=[1])],
+            "term 0: coefficient [1] is not a string or an integer",
+        ),
     ],
     ids=[
         "term_not_object",
@@ -167,6 +179,9 @@ E11 = {"coeff": "1", "monomial": [[1, 1]]}
         "generator_not_list",
         "generator_too_short",
         "generator_too_long",
+        "coeff_float",
+        "coeff_bool",
+        "coeff_list",
     ],
 )
 def test_expand_standard_names_the_malformed_term(terms, message):

@@ -616,7 +616,7 @@ def weak_composition_columns(shape, n):
         weight = Fraction(hook_number(shape) * column_sign(h))
         for c in comp:
             weight /= factorial(c)
-        for key, chi in polynomials._immanant_columns(support, word, word).items():
+        for key, chi in polynomials._add_columns({}, support, word, word).items():
             weights[key] = weights.get(key, 0) + chi * weight
     return weights
 

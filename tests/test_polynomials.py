@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,7 +40,9 @@ from capelli.tableaux import (
     Tableau,
     column_permuted_family,
     compositions,
+    conjugate,
     enumerate_row_strict,
+    hook_number,
     partitions_of,
 )
 
@@ -251,6 +254,9 @@ _BAD_TERM_LISTS = [
     [{"coeff": "1/0"}],  # was a bare ZeroDivisionError
     [{"coeff": float("inf")}],  # a JSON Infinity
     [{"coeff": float("nan")}],  # a JSON NaN
+    [{"coeff": 0.1}],  # was read as 3602879701896397/36028797018963968
+    [{"coeff": True}],  # was read as 1
+    [{"coeff": [1]}],  # was a bare TypeError
 ]
 
 
@@ -445,6 +451,37 @@ def test_families_range_check_entries_that_build_no_column():
         immanant(2, 2, (2,), (3, 3), (1, 2))
 
 
+# -- the group-algebra tables behind the column maps ---------------------------
+
+
+def group_product(x, y):
+    """The product xy of two group-algebra elements {pi: w}: x after y."""
+    out = {}
+    for pi, a in x.items():
+        for sigma, b in y.items():
+            key = tuple(pi[k] for k in sigma)
+            out[key] = out.get(key, 0) + a * b
+    return {g: w for g, w in out.items() if w}
+
+
+def scaled(x, c):
+    return {g: c * w for g, w in x.items()}
+
+
+@pytest.mark.parametrize("shape", [s for h in range(1, 6) for s in partitions_of(h)])
+def test_column_tables_are_quasi_idempotent(shape):
+    rows = prod(map(factorial, shape))
+    cols = prod(map(factorial, conjugate(shape)))
+    hooks = hook_number(shape)
+    a = polynomials._bitableau_table(shape)
+    y = polynomials._young_table(shape)
+    d = polynomials._double_young_table(shape)
+    assert len(a) == rows and len(y) == rows * cols
+    assert group_product(a, a) == scaled(a, rows)
+    assert group_product(y, y) == scaled(y, hooks)
+    assert group_product(d, d) == scaled(d, column_sign(sum(shape)) * rows * hooks)
+
+
 # -- literal references for the column-map families --------------------------
 #
 # The families by their defining formulas, sharing no code with the merged
@@ -482,14 +519,22 @@ def literal_imm_operator(shape, p):
 LITERAL_CASES = [(h, n, d) for h in range(1, 4) for n, d in ((2, 2), (3, 3), (3, 2))]
 
 
-@pytest.mark.parametrize("h, n, d", LITERAL_CASES)
+@pytest.mark.parametrize("h, n, d", LITERAL_CASES + [(4, 4, 4), (5, 5, 5)])
 def test_right_symmetrized_is_its_literal_sum(h, n, d):
     for shape in partitions_of(h):
-        for s in enumerate_row_strict(shape, n):
-            for t in enumerate_row_strict(shape, d):
-                assert right_symmetrized(n, d, s, t) == literal_right_symmetrized(
-                    n, d, s, t
-                ), (s, t)
+        if h > 3:
+            # the distinct-letter row-major filling, S = T: each column key
+            # fixes its permutation, so every entry of the Young table is read
+            s = Tableau.from_word(shape, range(1, h + 1))
+            pairs = [(s, s)]
+        else:
+            pairs = itertools.product(
+                enumerate_row_strict(shape, n), enumerate_row_strict(shape, d)
+            )
+        for s, t in pairs:
+            assert right_symmetrized(n, d, s, t) == literal_right_symmetrized(
+                n, d, s, t
+            ), (s, t)
 
 
 @pytest.mark.parametrize("h, n, d", LITERAL_CASES)
