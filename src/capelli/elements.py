@@ -198,7 +198,7 @@ def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Image [S|T] of the bitableau (S|T): the signed sum of column Capelli
     elements over the multipermutation expansion.  Zero when shapes differ."""
     weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _bitableau_table, left, right)
+    _add_tableau_columns(weights, _bitableau_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
@@ -206,7 +206,7 @@ def young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Right symmetrized element [S|box T]: sum of [S|Tbar] over all column
     permutations Tbar of T, with multiplicity."""
     weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _young_table, left, right)
+    _add_tableau_columns(weights, _young_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
@@ -218,7 +218,7 @@ def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     summed over all tuples sigma of within-row permutations of T (a signed
     multiset: repeated row entries contribute repeated variants)."""
     weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _double_young_table, left, right)
+    _add_tableau_columns(weights, _double_young_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
@@ -302,7 +302,7 @@ def schur_element_dyc(shape, n: int) -> UglElement:
     shape = check_partition(shape)
     weights: dict[ColumnKey, int] = {}
     for s in enumerate_row_strict(conjugate(shape), n):
-        _add_tableau_columns(weights, _double_young_table, s, s)
+        _add_tableau_columns(weights, _double_young_table, n, n, s, s)
     return _sum_columns(n, weights) / hook_number(shape)
 
 
@@ -400,5 +400,5 @@ def koszul_map(x: UglElement) -> MPoly:
     elements and replace each [S|box T] by the polynomial (S|box T)."""
     weights: dict[ColumnKey, Fraction] = {}
     for s, t, c in standard_capelli_expansion(x).terms:
-        _add_tableau_columns(weights, _young_table, s, t, c)
+        _add_tableau_columns(weights, _young_table, x.n, x.n, s, t, c)
     return _columns_polynomial(x.n, x.n, weights)

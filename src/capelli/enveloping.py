@@ -19,8 +19,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
-from .terms import Coeff, add_terms, check_size, exact, parse_coeff, parse_int
-from .terms import scale_terms, settle, signed_text
+from .terms import Coeff, add_terms, check_size, exact, parse_coeff, read_monomial
+from .terms import read_terms, scale_terms, settle, signed_text
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
@@ -228,29 +228,12 @@ class UglElement:
     def from_json(cls, data: list[dict], n: int) -> "UglElement":
         """The element of a list of {"coeff", "monomial"} terms; a ValueError
         naming the term's index for anything else."""
-        if not isinstance(data, list):
-            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
-
         def term(entry) -> "UglElement":
-            if not (isinstance(entry, dict) and {"coeff", "monomial"} <= entry.keys()):
-                raise ValueError('expected an object with "coeff" and "monomial"')
-            gens = entry["monomial"]
-            if not isinstance(gens, list):
-                raise ValueError(f"monomial {gens!r} is not a list of generators")
-            for g in gens:
-                if not (isinstance(g, list) and len(g) == 2):
-                    raise ValueError(f"generator {g!r} is not an [i, j] pair")
-            mono = tuple((parse_int(i), parse_int(j)) for i, j in gens)
+            mono = tuple(read_monomial(entry["monomial"], "generator", ("i", "j")))
             return cls(n, {mono: parse_coeff(entry["coeff"])})
 
         # one checked element per entry, so a term that cancels is still checked
-        elements = []
-        for index, entry in enumerate(data):
-            try:
-                elements.append(term(entry))
-            except ValueError as exc:
-                raise ValueError(f"term {index}: {exc}") from None
-        return element_sum(n, elements)
+        return element_sum(n, read_terms(data, ("monomial",), term))
 
     def __repr__(self) -> str:
         return f"UglElement(n={self.n}, {self.text()})"

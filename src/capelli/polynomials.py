@@ -29,8 +29,8 @@ from .tableaux import (
     partitions_of,
     permutation_sign,
 )
-from .terms import Coeff, add_terms, check_size, exact, parse_coeff, parse_int
-from .terms import scale_terms, settle, signed_text
+from .terms import Coeff, add_terms, check_size, exact, parse_coeff, read_monomial
+from .terms import read_terms, scale_terms, settle, signed_text
 
 ExpVec = tuple[int, ...]
 
@@ -202,14 +202,11 @@ class MPoly:
         return pairs
 
     def sorted_terms(self) -> list[tuple[ExpVec, Coeff]]:
-        def key(item):
-            exp = item[0]
-            seq = tuple(
-                idx for idx, e in enumerate(exp) for _ in range(e)
-            )
-            return (-sum(exp), seq)
-
-        return sorted(self.terms.items(), key=key)
+        # degree down, then the repeated-index word of the variables up: at one
+        # degree, the first slot where two exponent vectors differ decides both
+        return sorted(
+            self.terms.items(), key=lambda item: (-sum(item[0]), [-e for e in item[0]])
+        )
 
     # -- rendering and serialization ----------------------------------------
 
@@ -241,18 +238,16 @@ class MPoly:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int, d: int) -> "MPoly":
-        if not isinstance(data, list):
-            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
-        # one checked polynomial per entry, so a term that cancels is still checked
-        polys = []
-        for entry in data:
+        def term(entry) -> "MPoly":
             exp = [0] * (n * d)
-            for i, phi, e in entry["monomial"]:
-                i, phi, e = parse_int(i), parse_int(phi), parse_int(e)
+            variables = read_monomial(entry["monomial"], "variable", ("i", "phi", "e"))
+            for i, phi, e in variables:
                 _check_words(n, d, (i,), (phi,))
                 exp[(i - 1) * d + (phi - 1)] += e
-            polys.append(cls(n, d, {tuple(exp): parse_coeff(entry["coeff"])}))
-        return poly_sum(n, d, polys)
+            return cls(n, d, {tuple(exp): parse_coeff(entry["coeff"])})
+
+        # one checked polynomial per entry, so a term that cancels is still checked
+        return poly_sum(n, d, read_terms(data, ("monomial",), term))
 
     def __repr__(self) -> str:
         return f"MPoly(n={self.n}, d={self.d}, {self.text()})"
@@ -374,11 +369,15 @@ def _add_columns(weights: dict, table: Table, lefts, rights, coeff=1) -> dict:
     return weights
 
 
-def _add_tableau_columns(weights: dict, table_fn, left: Tableau, right: Tableau, coeff=1):
-    """Add coeff times the table_fn(shape) family of (left|right); nothing
-    when the shapes differ."""
+def _add_tableau_columns(
+    weights: dict, table_fn, n: int, d: int, left: Tableau, right: Tableau, coeff=1
+):
+    """Add coeff times the table_fn(shape) family of (left|right), nothing when
+    the shapes differ; the words are checked against 1..n and 1..d first."""
+    lword, rword = left.word(), right.word()
+    _check_words(n, d, lword, rword)
     if left.shape == right.shape:
-        _add_columns(weights, table_fn(left.shape), left.word(), right.word(), coeff)
+        _add_columns(weights, table_fn(left.shape), lword, rword, coeff)
 
 
 def _row_major_blocks(shape: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -463,9 +462,8 @@ def _columns_polynomial(n: int, d: int, weights: dict[ColumnKey, Rational]) -> M
 def right_symmetrized(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
     """Sum of bitableau(left, rbar) over all column permutations rbar of right,
     counted with multiplicity."""
-    _check_words(n, d, left.word(), right.word())  # the map is empty if shapes differ
     weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _young_table, left, right)
+    _add_tableau_columns(weights, _young_table, n, d, left, right)
     return _columns_polynomial(n, d, weights)
 
 
@@ -625,6 +623,8 @@ class StdExpansion:
         check_size("n", self.n)
         check_size("d", self.d)
         for s, t, _ in self.terms:
+            if s.shape != t.shape:
+                raise ValueError(f"({s.compact()}|{t.compact()}): shapes differ")
             _check_words(self.n, self.d, s.word(), t.word())
         ordered = tuple(
             sorted(
@@ -658,17 +658,11 @@ class StdExpansion:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int, d: int) -> "StdExpansion":
-        if not isinstance(data, list):
-            raise ValueError(f"expected a list of terms, got {type(data).__name__}")
-        terms = tuple(
-            (
-                Tableau.from_json(entry["left"]),
-                Tableau.from_json(entry["right"]),
-                parse_coeff(entry["coeff"]),
-            )
-            for entry in data
-        )
-        return cls(n, d, terms)
+        def term(entry) -> tuple[Tableau, Tableau, Fraction]:
+            left, right = (Tableau.from_json(entry[key]) for key in ("left", "right"))
+            return left, right, parse_coeff(entry["coeff"])
+
+        return cls(n, d, tuple(read_terms(data, ("left", "right"), term)))
 
     def text(self) -> str:
         return signed_text(

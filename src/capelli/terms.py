@@ -5,14 +5,14 @@ each a map from basis items (PBW monomials, exponent vectors, standard
 pairs) to nonzero coefficients: an ``int`` when integral, a ``Fraction``
 otherwise (the two compare and hash alike).  This module holds what the
 three have in common: that rule, merging and scaling terms, rendering with
-folded signs, reading JSON coefficients and integers, and checking sizes.
+folded signs, reading JSON term lists and checking sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Rational
-from typing import Hashable, Iterable
+from typing import Callable, Hashable, Iterable
 
 Coeff = int | Fraction
 
@@ -97,6 +97,34 @@ def parse_int(raw) -> int:
     if type(raw) is not int:
         raise ValueError(f"expected an integer, got {raw!r}")
     return raw
+
+
+def read_terms(data, fields: tuple[str, ...], read: Callable) -> list:
+    """read(entry) of each entry, an object holding "coeff" and the fields, of
+    a JSON term list; a ValueError naming the term's index for anything else."""
+    if not isinstance(data, list):
+        raise ValueError(f"expected a list of terms, got {type(data).__name__}")
+    *init, end = (f'"{key}"' for key in ("coeff", *fields))
+    out = []
+    for index, entry in enumerate(data):
+        try:
+            if not (isinstance(entry, dict) and {"coeff", *fields} <= entry.keys()):
+                raise ValueError(f"expected an object with {', '.join(init)} and {end}")
+            out.append(read(entry))
+        except ValueError as exc:
+            raise ValueError(f"term {index}: {exc}") from None
+    return out
+
+
+def read_monomial(raw, item: str, slots: tuple[str, ...]) -> list[tuple[int, ...]]:
+    """A JSON monomial: a list of items, each a list of len(slots) integers."""
+    if not isinstance(raw, list):
+        raise ValueError(f"monomial {raw!r} is not a list of {item}s")
+    for g in raw:
+        if not (isinstance(g, list) and len(g) == len(slots)):
+            form = ("pair", "triple")[len(slots) - 2]
+            raise ValueError(f"{item} {g!r} is not an [{', '.join(slots)}] {form}")
+    return [tuple(map(parse_int, g)) for g in raw]
 
 
 def check_size(name: str, value) -> int:

@@ -103,7 +103,9 @@ def test_row_permutation_invariance(pair, perm):
     lefts, rights = pair
     h = len(lefts)
     perm = [p for p in perm if p < h]
-    permuted = column_capelli(
+    # the literal route reads the permuted rows as given; column_capelli would
+    # sort them back to the same memo entry
+    permuted = column_capelli_literal(
         tuple(lefts[p] for p in perm), tuple(rights[p] for p in perm), 2
     )
     assert permuted == column_capelli(lefts, rights, 2)
@@ -551,6 +553,18 @@ def test_constructors_reject_non_integers(build):
     # rejected, not truncated, before the size reaches range()
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "family", [capelli_bitableau, young_capelli, double_young_capelli]
+)
+@pytest.mark.parametrize("bad_left", [True, False], ids=["left", "right"])
+def test_tableau_families_range_check_words_whose_columns_cancel(family, bad_left):
+    # [3 3|1 2] and [1 2|3 3] cancel in every family, so no column reaches
+    # column_capelli's range check; at n = 2 both were returned as 0
+    bad, good = Tableau(((3, 3),)), Tableau(((1, 2),))
+    with pytest.raises(ValueError, match="out of range 1..2"):
+        family(bad, good, 2) if bad_left else family(good, bad, 2)
 
 
 def test_integral_fraction_is_stored_as_int():

@@ -285,15 +285,54 @@ def test_std_expansion_from_json_rejects_bad_input(data):
         lambda: StdExpansion.from_json(
             [{"left": [[1]], "right": [[3]], "coeff": "0"}], 2, 2
         ),
+        lambda: StdExpansion.from_json(
+            [{"left": [[1]], "right": [[1, 2]], "coeff": "1"}], 2, 2
+        ),
         lambda: StdExpansion(2.0, 2, ()),
         lambda: StdExpansion(2, True, ()),
     ],
-    ids=["json_letter", "json_place_of_zero_term", "n_float", "d_bool"],
+    ids=[
+        "json_letter",
+        "json_place_of_zero_term",
+        "json_two_shapes",
+        "n_float",
+        "d_bool",
+    ],
 )
 def test_std_expansion_checks_sizes_and_words(build):
-    # (5|1) at n = 2 was once accepted and printed; only to_polynomial() failed
+    # (5|1) at n = 2 was once accepted and printed; only to_polynomial() failed,
+    # and (1|1 2) was accepted and printed although its polynomial is 0
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "read, data",
+    [
+        (MPoly.from_json, [5]),
+        (MPoly.from_json, [{"coeff": "1"}]),
+        (MPoly.from_json, [{"coeff": "1", "monomial": 5}]),
+        (MPoly.from_json, [{"coeff": "1", "monomial": [[1, 1]]}]),
+        (StdExpansion.from_json, [5]),
+        (StdExpansion.from_json, [{"coeff": "1", "left": [[1]]}]),
+        (StdExpansion.from_json, [{"coeff": "1", "left": 5, "right": [[1]]}]),
+        (StdExpansion.from_json, [{"coeff": "1", "left": [[1]], "right": [1]}]),
+    ],
+    ids=[
+        "poly_not_object",
+        "poly_missing_monomial",
+        "poly_monomial_not_list",
+        "poly_variable_too_short",
+        "std_not_object",
+        "std_missing_right",
+        "std_left_not_list",
+        "std_row_not_list",
+    ],
+)
+def test_from_json_names_the_malformed_term(read, data):
+    # each once raised a TypeError, a KeyError or a ValueError naming no term
+    with pytest.raises(ValueError, match="^term 0: "):
+        read(data, 2, 2)
 
 
 @pytest.mark.parametrize("i, phi", [(0, 1), (3, 1), (1, 0), (1, 3)])
