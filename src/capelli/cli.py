@@ -59,7 +59,7 @@ def _positive(text: str) -> int:
 def _tableau(text: str) -> Tableau:
     try:
         return Tableau.from_json(json.loads(text))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a JSON tableau (row arrays): {exc}")
 
 
@@ -67,7 +67,7 @@ def _expand_standard(args):
     raw = args.element if args.element is not None else sys.stdin.read()
     try:
         element = UglElement.from_json(json.loads(raw), args.n)
-    except (ValueError, TypeError, KeyError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad element: {exc}")
     return standard_capelli_expansion(element)
 

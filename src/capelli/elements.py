@@ -27,6 +27,7 @@ from .polynomials import (
     _add_tableau_columns,
     _bitableau_table,
     _character_support,
+    _check_column,
     _columns_polynomial,
     _double_young_table,
     _young_table,
@@ -45,18 +46,9 @@ from .tableaux import (
     enumerate_row_strict,
     hook_number,
 )
-from .terms import Coeff, add_terms, check_size, exact, settle
+from .terms import Coeff, add_terms, check_size, exact
 
 _column_memo: dict[tuple, UglElement] = {}
-
-
-def _check_column(lefts, rights, n) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    lefts, rights = tuple(lefts), tuple(rights)
-    if len(lefts) != len(rights):
-        raise ValueError("column words must have equal length")
-    if any(type(k) is not int or not 1 <= k <= n for k in lefts + rights):
-        raise ValueError(f"column entries out of range 1..{n}")
-    return lefts, rights
 
 
 def column_capelli(lefts, rights, n: int) -> UglElement:
@@ -72,7 +64,7 @@ def column_capelli(lefts, rights, n: int) -> UglElement:
     first row.  The element only depends on the rows as a multiset, so the
     memo table is keyed by the row-sorted form.
     """
-    lefts, rights = _check_column(lefts, rights, n)
+    lefts, rights = _check_column(n, n, lefts, rights)
     return _column_sorted(tuple(sorted(zip(lefts, rights))), n)
 
 
@@ -118,7 +110,7 @@ def column_capelli_alt(lefts, rights, n: int) -> UglElement:
     Memoized on the literal word pair so the route stays independent of
     column_capelli's row-sorting.
     """
-    lefts, rights = _check_column(lefts, rights, n)
+    lefts, rights = _check_column(n, n, lefts, rights)
     key = (lefts, rights, n)
     cached = _column_alt_memo.get(key)
     if cached is not None:
@@ -155,7 +147,7 @@ def column_capelli_literal(lefts, rights, n: int) -> UglElement:
     No row sorting and no memoization; exponential but tiny at desk scale.
     That every derivation order yields the same element licenses the memo.
     """
-    lefts, rights = _check_column(lefts, rights, n)
+    lefts, rights = _check_column(n, n, lefts, rights)
     h = len(lefts)
     if h == 0:
         return UglElement.one(n)
@@ -185,13 +177,13 @@ def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
     """Sum of weight * [lefts | rights] over a merged column map."""
     acc: dict[Monomial, Coeff] = {}
     for key, weight in weights.items():
-        weight = exact(weight)  # an integral Fraction weight would leave the ints
+        weight = exact(weight)  # an int weight keeps the products in int arithmetic
         if weight:
             column = column_capelli(
                 tuple(i for i, _ in key), tuple(j for _, j in key), n
             )
             add_terms(acc, ((mono, c * weight) for mono, c in column.terms.items()))
-    return UglElement.zero(n)._wrap(settle(acc))
+    return UglElement.zero(n)._wrap(acc)
 
 
 def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
@@ -229,7 +221,7 @@ def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
     """
     shape = check_partition(shape)
     h = sum(shape)
-    lefts, rights = _check_column(lefts, rights, n)
+    lefts, rights = _check_column(n, n, lefts, rights)
     if len(lefts) != h:
         raise ValueError(f"index words must have length {h}")
     return _sum_columns(n, _add_columns({}, _character_support(shape), lefts, rights))
@@ -279,7 +271,7 @@ def quantum_immanant(shape, n: int) -> UglElement:
                 for j in range(1, m + 1)
             }.__getitem__
             add_terms(acc, ((tuple(map(image, mono)), c) for mono, c in partial))
-    return UglElement.zero(n)._wrap(settle(acc))
+    return UglElement.zero(n)._wrap(acc)
 
 
 def schur_element(shape, n: int) -> UglElement:

@@ -61,7 +61,7 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
             stack.append((head + ((a, d),) + tail, coeff))
         if d == a:
             stack.append((head + ((c, b),) + tail, -coeff))
-    return settle(normal)
+    return normal
 
 
 def _term_sort_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -84,7 +84,7 @@ class UglElement:
                 if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
                     raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
             raw.append((mono, exact(coeff)))
-        object.__setattr__(self, "terms", _normalize(raw))
+        object.__setattr__(self, "terms", settle(_normalize(raw)))
 
     def __setattr__(self, name, value):
         raise AttributeError("UglElement is immutable")
@@ -117,7 +117,7 @@ class UglElement:
         if not isinstance(other, UglElement):
             return NotImplemented
         self._check_ambient(other)
-        return self._wrap(settle(add_terms(dict(self.terms), other.terms.items())))
+        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, UglElement):
@@ -151,10 +151,10 @@ class UglElement:
         return NotImplemented
 
     def _wrap(self, normal_terms: dict[Monomial, Coeff]) -> "UglElement":
-        # Internal fast path: terms are already normalized, pruned and settled.
+        # Internal fast path: terms are already normalized and pruned; settled here.
         elem = object.__new__(UglElement)
         object.__setattr__(elem, "n", self.n)
-        object.__setattr__(elem, "terms", normal_terms)
+        object.__setattr__(elem, "terms", settle(normal_terms))
         return elem
 
     def __eq__(self, other):
@@ -247,12 +247,12 @@ def ad(i: int, j: int, x: UglElement) -> UglElement:
 def element_sum(n: int, elements: Iterator[UglElement] | Iterable[UglElement]) -> UglElement:
     """Exact sum of many elements without quadratic re-merging.
 
-    A sum of PBW term maps is a PBW term map, so the result is only settled,
-    not normalized again.
+    A sum of PBW term maps is a PBW term map, so the result is not
+    normalized again.
     """
     acc: dict[Monomial, Coeff] = {}
     for elem in elements:
         if elem.n != n:
             raise ValueError(f"ambient mismatch: n={n} vs n={elem.n}")
         add_terms(acc, elem.terms.items())
-    return UglElement.zero(n)._wrap(settle(acc))
+    return UglElement.zero(n)._wrap(acc)

@@ -81,10 +81,11 @@ class MPoly:
         return cls(n, d, {tuple(exp): 1})
 
     def _wrap(self, terms: dict[ExpVec, Coeff]) -> "MPoly":
+        # Internal fast path: terms are already merged and pruned; settled here.
         poly = object.__new__(MPoly)
         object.__setattr__(poly, "n", self.n)
         object.__setattr__(poly, "d", self.d)
-        object.__setattr__(poly, "terms", terms)
+        object.__setattr__(poly, "terms", settle(terms))
         return poly
 
     # -- arithmetic --------------------------------------------------------
@@ -99,7 +100,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
         self._check_ambient(other)
-        return self._wrap(settle(add_terms(dict(self.terms), other.terms.items())))
+        return self._wrap(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -120,7 +121,7 @@ class MPoly:
                     for eb, cb in other.terms.items()
                 ),
             )
-            return self._wrap(settle(out))
+            return self._wrap(out)
         if isinstance(other, Rational):
             return self._wrap(scale_terms(self.terms, other))
         return NotImplemented
@@ -166,7 +167,7 @@ class MPoly:
                     out[key] = acc
                 else:
                     del out[key]
-        return self._wrap(settle(out))
+        return self._wrap(out)
 
     def total_degree(self) -> int | None:
         """Maximum monomial degree; None for the zero polynomial."""
@@ -260,17 +261,27 @@ def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
         if p.n != n or p.d != d:
             raise ValueError(f"ambient mismatch: ({n},{d}) vs ({p.n},{p.d})")
         add_terms(acc, p.terms.items())
-    return MPoly.zero(n, d)._wrap(settle(acc))
+    return MPoly.zero(n, d)._wrap(acc)
 
 
 # -- bideterminants and bitableaux ------------------------------------------
 
 
-def _check_words(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> None:
-    if any(type(i) is not int or not 1 <= i <= n for i in letters):
-        raise ValueError(f"letters {tuple(letters)} out of range 1..{n}")
-    if any(type(phi) is not int or not 1 <= phi <= d for phi in places):
-        raise ValueError(f"places {tuple(places)} out of range 1..{d}")
+def _check_words(n: int, d: int, lefts: Sequence[int], rights: Sequence[int]) -> None:
+    if any(type(i) is not int or not 1 <= i <= n for i in lefts):
+        raise ValueError(f"left word {tuple(lefts)} out of range 1..{n}")
+    if any(type(j) is not int or not 1 <= j <= d for j in rights):
+        raise ValueError(f"right word {tuple(rights)} out of range 1..{d}")
+
+
+def _check_column(n, d, lefts, rights) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The words of a column [i_1...i_h | j_1...j_h] or (i_1...i_h | j_1...j_h)
+    as tuples, checked to have one length and to lie in 1..n and 1..d."""
+    lefts, rights = tuple(lefts), tuple(rights)
+    if len(lefts) != len(rights):
+        raise ValueError(f"column words {lefts} and {rights} differ in length")
+    _check_words(n, d, lefts, rights)
+    return lefts, rights
 
 
 def biproduct(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> MPoly:
@@ -295,8 +306,7 @@ def biproduct(n: int, d: int, letters: Sequence[int], places: Sequence[int]) -> 
 
 def column_monomial(n: int, d: int, lefts: Sequence[int], rights: Sequence[int]) -> MPoly:
     """The plain product (i_1|j_1)...(i_h|j_h)."""
-    if len(lefts) != len(rights):
-        raise ValueError("column words must have equal length")
+    lefts, rights = _check_column(n, d, lefts, rights)
     return MPoly.monomial(n, d, zip(lefts, rights))
 
 
@@ -503,8 +513,8 @@ def immanant(
     """Character-weighted sum of column bitableaux over left permutations."""
     shape = check_partition(shape)
     h = sum(shape)
-    lefts, rights = tuple(lefts), tuple(rights)
-    if len(lefts) != h or len(rights) != h:
+    lefts, rights = _check_column(n, d, lefts, rights)
+    if len(lefts) != h:
         raise ValueError(f"index words must have length {h}")
     weights = _add_columns({}, _character_support(shape), lefts, rights)
     return _columns_polynomial(n, d, weights)
@@ -613,7 +623,7 @@ def standard_pairs(h: int, n: int, d: int) -> list[tuple[Tableau, Tableau]]:
 
 @dataclass(frozen=True)
 class StdExpansion:
-    """A finite rational combination of standard bitableau pairs."""
+    """Rational combination of standard bitableau pairs, merged by pair and sorted."""
 
     n: int
     d: int
@@ -626,13 +636,9 @@ class StdExpansion:
             if s.shape != t.shape:
                 raise ValueError(f"({s.compact()}|{t.compact()}): shapes differ")
             _check_words(self.n, self.d, s.word(), t.word())
-        ordered = tuple(
-            sorted(
-                ((s, t, exact(c)) for s, t, c in self.terms if c),
-                key=lambda stc: straight_key(stc[0], stc[1]),
-            )
-        )
-        object.__setattr__(self, "terms", ordered)
+        merged = settle(add_terms({}, (((s, t), exact(c)) for s, t, c in self.terms)))
+        ordered = sorted(merged.items(), key=lambda item: straight_key(*item[0]))
+        object.__setattr__(self, "terms", tuple((s, t, c) for (s, t), c in ordered))
 
     def coefficient(self, left: Tableau, right: Tableau) -> Coeff:
         for s, t, c in self.terms:
@@ -658,11 +664,13 @@ class StdExpansion:
 
     @classmethod
     def from_json(cls, data: list[dict], n: int, d: int) -> "StdExpansion":
-        def term(entry) -> tuple[Tableau, Tableau, Fraction]:
+        def term(entry) -> tuple[tuple[Tableau, Tableau, Coeff], ...]:
             left, right = (Tableau.from_json(entry[key]) for key in ("left", "right"))
-            return left, right, parse_coeff(entry["coeff"])
+            return cls(n, d, ((left, right, parse_coeff(entry["coeff"])),)).terms
 
-        return cls(n, d, tuple(read_terms(data, ("left", "right"), term)))
+        # one checked expansion per entry, so a term that cancels is still checked
+        entries = read_terms(data, ("left", "right"), term)
+        return cls(n, d, tuple(itertools.chain.from_iterable(entries)))
 
     def text(self) -> str:
         return signed_text(
@@ -781,7 +789,7 @@ def act_generator(i: int, j: int, p: MPoly) -> MPoly:
                     out[key] = acc
                 else:
                     del out[key]
-    return p._wrap(settle(out))
+    return p._wrap(out)
 
 
 def act_ugl(x, p: MPoly) -> MPoly:
@@ -798,7 +806,7 @@ def act_ugl(x, p: MPoly) -> MPoly:
             if not q:
                 break
         add_terms(out, ((exp, c * coeff) for exp, c in q.terms.items()))
-    return p._wrap(settle(out))
+    return p._wrap(out)
 
 
 def _place_derivatives(p: MPoly, rows: tuple[int, ...], places: tuple[int, ...] = ()):
@@ -831,10 +839,7 @@ def act_column_capelli_diff(
     place words whose derivative is nonzero.  Built from MPoly.diff and
     products only, never from the act_generator kernel.
     """
-    lefts, rights = tuple(lefts), tuple(rights)
-    if len(lefts) != len(rights):
-        raise ValueError("column words must have equal length")
-    _check_words(p.n, p.d, lefts + rights, ())
+    lefts, rights = _check_column(p.n, p.n, lefts, rights)
     sign = column_sign(len(lefts))
     terms = [
         MPoly.monomial(p.n, p.d, zip(lefts, phibar)) * q * sign

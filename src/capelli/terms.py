@@ -26,7 +26,8 @@ def exact(value: Rational) -> Coeff:
 
 
 def settle(terms: dict) -> dict:
-    """Store the integral Fraction coefficients of a term map as ints, in place."""
+    """Store the integral Fraction coefficients of a term map as ints, in place;
+    only the constructors of UglElement, MPoly and StdExpansion run it."""
     for key, coeff in terms.items():
         if type(coeff) is not int and coeff.denominator == 1:
             terms[key] = coeff.numerator
@@ -34,8 +35,8 @@ def settle(terms: dict) -> dict:
 
 
 def scale_terms(terms: dict, factor: Rational) -> dict:
-    """The term map times a rational factor; by 1 it is the map itself (term
-    maps are never mutated once built) and by -1 it is only negated."""
+    """The term map times a rational factor, unsettled; by 1 it is the map
+    itself (term maps are never mutated once built), by -1 only negated."""
     q = exact(factor)
     if not q:
         return {}
@@ -43,7 +44,7 @@ def scale_terms(terms: dict, factor: Rational) -> dict:
         return terms
     if q == -1:
         return {key: -coeff for key, coeff in terms.items()}
-    return settle({key: coeff * q for key, coeff in terms.items()})
+    return {key: coeff * q for key, coeff in terms.items()}
 
 
 def add_terms(acc: dict, items: Iterable[tuple[Hashable, Rational]]) -> dict:

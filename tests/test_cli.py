@@ -131,6 +131,9 @@ def test_expand_standard_bad_element_exits_2():
         '[{"coeff": "1/0", "monomial": [[1, 1]]}]',
         "{}",
         '[{"coeff": "1", "monomial": [[1.5, 1]]}]',  # was read as e[1,1]
+        '[{"coeff": "1", "monomial": [[[1], 1]]}]',
+        '[{"coeff": "1", "monomial": [["1", 1]]}]',
+        '[{"coeff": "1", "monomial": [[1, 1]]',
     ],
 )
 def test_expand_standard_rejects_malformed_json_with_one_line(element):

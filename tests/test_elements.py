@@ -12,10 +12,14 @@ from capelli.polynomials import (
     MPoly,
     _content_pairs,
     act_column_capelli_diff,
+    act_generator,
     act_ugl,
     bitableau,
+    column_bitableau,
+    column_monomial,
     column_sign,
     immanant,
+    poly_sum,
     right_symmetrized,
     solve_exact,
     standard_pairs,
@@ -72,6 +76,38 @@ def test_column_capelli_validation():
         column_capelli((1, 2), (1,), 2)
     with pytest.raises(ValueError):
         column_capelli((1, 3), (1, 1), 2)
+
+
+_COLUMN_CONSTRUCTIONS = {
+    "column_capelli": lambda l, r: column_capelli(l, r, 2),
+    "column_capelli_alt": lambda l, r: column_capelli_alt(l, r, 2),
+    "column_capelli_literal": lambda l, r: column_capelli_literal(l, r, 2),
+    "capelli_immanant": lambda l, r: capelli_immanant((2,), l, r, 2),
+    "column_monomial": lambda l, r: column_monomial(2, 2, l, r),
+    "column_bitableau": lambda l, r: column_bitableau(2, 2, l, r),
+    "immanant": lambda l, r: immanant(2, 2, (2,), l, r),
+    "act_column_capelli_diff": lambda l, r: act_column_capelli_diff(
+        l, r, MPoly.variable(2, 2, 1, 1)
+    ),
+}
+_COLUMN_FAULTS = {
+    "lengths": ((1, 2), (1,), "column words (1, 2) and (1,) differ in length"),
+    "left": ((1, 5), (1, 2), "left word (1, 5) out of range 1..2"),
+    "right": ((1, 2), (5, 1), "right word (5, 1) out of range 1..2"),
+}
+
+
+@pytest.mark.parametrize("fault", _COLUMN_FAULTS.values(), ids=list(_COLUMN_FAULTS))
+@pytest.mark.parametrize(
+    "build", _COLUMN_CONSTRUCTIONS.values(), ids=list(_COLUMN_CONSTRUCTIONS)
+)
+def test_column_constructions_give_one_message_per_fault(build, fault):
+    # the words of every column are checked by polynomials._check_column, so
+    # one fault reads the same in both algebras and names the word at fault
+    lefts, rights, message = fault
+    with pytest.raises(ValueError) as err:
+        build(lefts, rights)
+    assert str(err.value) == message
 
 
 def test_column_capelli_depth_two():
@@ -576,6 +612,43 @@ def test_integral_fraction_is_stored_as_int():
     assert hash(from_fraction) == hash(from_int)
     assert from_fraction.text() == from_int.text() == "2 · e[1,1]"
     assert from_fraction.to_json() == from_int.to_json()
+
+
+def _x(i, phi):
+    return MPoly.variable(2, 2, i, phi)
+
+
+_HALF_E11 = UglElement(2, {((1, 1),): Fraction(1, 2)})
+_HALF_X11 = _x(1, 1) / 2
+
+# every producer that hands its term map to _wrap unsettled, fed Fractions
+# whose results include integral coefficients
+_PRODUCERS = {
+    "ugl_add": lambda: _HALF_E11 + _HALF_E11,
+    "ugl_mul": lambda: _HALF_E11 * (gen(2, 2, 2) * 2),
+    "ugl_scale": lambda: _HALF_E11 * 2,
+    "ugl_div": lambda: _HALF_E11 * 3 / Fraction(3, 2),
+    "element_sum": lambda: element_sum(2, (_HALF_E11, _HALF_E11)),
+    "poly_add": lambda: _HALF_X11 + _HALF_X11,
+    "poly_mul": lambda: _HALF_X11 * (_x(2, 2) * 2),
+    "poly_scale": lambda: _HALF_X11 * 2,
+    "poly_div": lambda: _HALF_X11 * 3 / Fraction(3, 2),
+    "poly_sum": lambda: poly_sum(2, 2, (_HALF_X11, _HALF_X11)),
+    "diff": lambda: (_HALF_X11 * _x(1, 1)).diff(1, 1),
+    "act_generator": lambda: act_generator(1, 2, _x(2, 1) * _x(2, 1) / 2),
+    "act_ugl": lambda: act_ugl(gen(2, 1, 2) * 2, _x(2, 1) * _x(2, 1) / 4),
+    # e[1,1] gets -1/2 from [1 2|2 1] and 3/2 from [1|1]
+    "koszul_inverse": lambda: koszul_inverse(
+        _x(1, 2) * _x(2, 1) / 2 + _HALF_X11 * 3
+    ),
+    "schur_element": lambda: schur_element((2, 1), 2),
+}
+
+
+@pytest.mark.parametrize("build", _PRODUCERS.values(), ids=list(_PRODUCERS))
+def test_every_producer_stores_integral_coefficients_as_ints(build):
+    integral = [c for c in build().terms.values() if c.denominator == 1]
+    assert integral and all(type(c) is int for c in integral)
 
 
 # -- the Capelli determinant against routes that share no code with its

@@ -317,6 +317,8 @@ def test_std_expansion_checks_sizes_and_words(build):
         (StdExpansion.from_json, [{"coeff": "1", "left": [[1]]}]),
         (StdExpansion.from_json, [{"coeff": "1", "left": 5, "right": [[1]]}]),
         (StdExpansion.from_json, [{"coeff": "1", "left": [[1]], "right": [1]}]),
+        (StdExpansion.from_json, [{"coeff": "1", "left": [[5]], "right": [[1]]}]),
+        (StdExpansion.from_json, [{"coeff": "1", "left": [[1]], "right": [[1, 2]]}]),
     ],
     ids=[
         "poly_not_object",
@@ -327,12 +329,31 @@ def test_std_expansion_checks_sizes_and_words(build):
         "std_missing_right",
         "std_left_not_list",
         "std_row_not_list",
+        "std_letter_out_of_range",
+        "std_two_shapes",
     ],
 )
 def test_from_json_names_the_malformed_term(read, data):
     # each once raised a TypeError, a KeyError or a ValueError naming no term
     with pytest.raises(ValueError, match="^term 0: "):
         read(data, 2, 2)
+
+
+def test_std_expansion_merges_repeated_pairs():
+    # each pair was once kept as given: (1|1) + (1|1), and a +1/-1 pair that
+    # printed as (1|1) − (1|1) and compared unequal to 0
+    one = Tableau(((1,),))
+    doubled = StdExpansion(2, 2, ((one, one, 1), (one, one, 1)))
+    assert doubled.text() == "2 · (1|1)"
+    assert doubled.coefficient(one, one) == 2
+    cancelled = StdExpansion(2, 2, ((one, one, 1), (one, one, -1)))
+    assert cancelled == StdExpansion(2, 2, ())
+    assert cancelled.text() == "0"
+    halves = StdExpansion(2, 2, ((one, one, Fraction(1, 2)),) * 2)
+    assert halves.terms == ((one, one, 1),)
+    assert type(halves.terms[0][2]) is int
+    pair = {"coeff": "1", "left": [[1]], "right": [[1]]}
+    assert StdExpansion.from_json([pair, pair], 2, 2) == doubled
 
 
 @pytest.mark.parametrize("i, phi", [(0, 1), (3, 1), (1, 0), (1, 3)])
