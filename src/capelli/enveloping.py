@@ -240,8 +240,23 @@ class UglElement:
 
 
 def ad(i: int, j: int, x: UglElement) -> UglElement:
-    """Adjoint action of the generator e_ij: e_ij·x − x·e_ij."""
-    return UglElement.generator(x.n, i, j).commutator(x)
+    """Adjoint action of the generator e_ij: e_ij·x − x·e_ij.
+
+    By the derivation rule [e_ij, g_1...g_L] = sum_k g_1...[e_ij, g_k]...g_L
+    with [e_ij, e_ab] = delta_ja e_ib − delta_bi e_aj, normalized once, so the
+    top-degree parts of e_ij·x and x·e_ij, which cancel, are never built.
+    """
+    n = x.n
+    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
+    raw = []
+    for mono, coeff in x.terms.items():
+        for k, (a, b) in enumerate(mono):
+            if a == j:
+                raw.append((mono[:k] + ((i, b),) + mono[k + 1 :], coeff))
+            if b == i:
+                raw.append((mono[:k] + ((a, j),) + mono[k + 1 :], -coeff))
+    return x._wrap(_normalize(raw))
 
 
 def element_sum(n: int, elements: Iterator[UglElement] | Iterable[UglElement]) -> UglElement:

@@ -632,11 +632,12 @@ class StdExpansion:
     def __post_init__(self):
         check_size("n", self.n)
         check_size("d", self.d)
-        for s, t, _ in self.terms:
+        terms = tuple(self.terms)  # read once: the terms may be an iterator
+        for s, t, _ in terms:
             if s.shape != t.shape:
                 raise ValueError(f"({s.compact()}|{t.compact()}): shapes differ")
             _check_words(self.n, self.d, s.word(), t.word())
-        merged = settle(add_terms({}, (((s, t), exact(c)) for s, t, c in self.terms)))
+        merged = settle(add_terms({}, (((s, t), exact(c)) for s, t, c in terms)))
         ordered = sorted(merged.items(), key=lambda item: straight_key(*item[0]))
         object.__setattr__(self, "terms", tuple((s, t, c) for (s, t), c in ordered))
 
@@ -764,19 +765,12 @@ def gc_coordinates(p: MPoly) -> dict[tuple[Tableau, Tableau], Fraction]:
 # -- polarization: the differential-operator model of U(gl(n)) ---------------
 
 
-def act_generator(i: int, j: int, p: MPoly) -> MPoly:
-    """Polarization e_ij = sum_phi (i|phi) d/d(j|phi), as one exponent shift:
-    each term moves one unit from (j|phi) to (i|phi) for every phi with
-    a = exp[(j|phi)] > 0, weighted by a.  For i = j every monomial stays in
-    place, weighted by its row-j degree (the Euler operator).  Shares no code
-    with MPoly.diff, which the oracles below use."""
-    n, d = p.n, p.d
-    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"generator indices ({i},{j}) out of range for n={n}")
-    src, dst = (j - 1) * d, (i - 1) * d
+def _shift(terms: dict[ExpVec, Coeff], src: int, dst: int, d: int) -> dict[ExpVec, Coeff]:
+    """The exponent shift of act_generator on a raw term map, unsettled: from
+    slot src + phi to slot dst + phi, for phi in 0..d-1."""
     out: dict[ExpVec, Coeff] = {}
     # inline merge, not add_terms: the polarization action's innermost loop
-    for exp, coeff in p.terms.items():
+    for exp, coeff in terms.items():
         for phi in range(d):
             a = exp[src + phi]
             if a:
@@ -789,23 +783,37 @@ def act_generator(i: int, j: int, p: MPoly) -> MPoly:
                     out[key] = acc
                 else:
                     del out[key]
-    return p._wrap(out)
+    return out
+
+
+def act_generator(i: int, j: int, p: MPoly) -> MPoly:
+    """Polarization e_ij = sum_phi (i|phi) d/d(j|phi), as one exponent shift:
+    each term moves one unit from (j|phi) to (i|phi) for every phi with
+    a = exp[(j|phi)] > 0, weighted by a.  For i = j every monomial stays in
+    place, weighted by its row-j degree (the Euler operator).  Shares no code
+    with MPoly.diff, which the oracles below use."""
+    n, d = p.n, p.d
+    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"generator indices ({i},{j}) out of range for n={n}")
+    return p._wrap(_shift(p.terms, (j - 1) * d, (i - 1) * d, d))
 
 
 def act_ugl(x, p: MPoly) -> MPoly:
     """Action of a PBW element: each monomial acts with its rightmost
     generator first, weighted by its coefficient; a monomial stops at the
-    first generator that sends its image to 0."""
+    first generator that sends its image to 0.  The generators shift raw term
+    maps, and only the sum is wrapped."""
     if x.n != p.n:
         raise ValueError(f"ambient mismatch: n={x.n} vs n={p.n}")
+    d = p.d
     out: dict[ExpVec, Coeff] = {}
     for mono, coeff in x.terms.items():
-        q = p
+        q = p.terms
         for i, j in reversed(mono):
-            q = act_generator(i, j, q)
+            q = _shift(q, (j - 1) * d, (i - 1) * d, d)
             if not q:
                 break
-        add_terms(out, ((exp, c * coeff) for exp, c in q.terms.items()))
+        add_terms(out, ((exp, c * coeff) for exp, c in q.items()))
     return p._wrap(out)
 
 
@@ -827,6 +835,30 @@ def _place_derivatives(p: MPoly, rows: tuple[int, ...], places: tuple[int, ...] 
             )
 
 
+def _add_placed(
+    out: dict[ExpVec, Coeff],
+    letters: Sequence[int],
+    places: Sequence[int],
+    q: MPoly,
+    coeff: Coeff,
+) -> None:
+    """Oracle helper: add coeff (letters_1|places_1)...(letters_h|places_h) q
+    into the term map out, by adding the place word's exponent vector to
+    each term of q and merging inline."""
+    d = q.d
+    slots = [(i - 1) * d + phi - 1 for i, phi in zip(letters, places)]
+    for exp, c in q.terms.items():
+        key = list(exp)
+        for slot in slots:
+            key[slot] += 1
+        key = tuple(key)
+        acc = out.get(key, 0) + c * coeff
+        if acc:
+            out[key] = acc
+        else:
+            del out[key]
+
+
 def act_column_capelli_diff(
     lefts: Sequence[int], rights: Sequence[int], p: MPoly
 ) -> MPoly:
@@ -837,15 +869,14 @@ def act_column_capelli_diff(
 
     with all differentiations applied before the multiplications, over the
     place words whose derivative is nonzero.  Built from MPoly.diff and
-    products only, never from the act_generator kernel.
+    exponent-vector additions only, never from the polarization kernel.
     """
     lefts, rights = _check_column(p.n, p.n, lefts, rights)
     sign = column_sign(len(lefts))
-    terms = [
-        MPoly.monomial(p.n, p.d, zip(lefts, phibar)) * q * sign
-        for phibar, q in _place_derivatives(p, rights)
-    ]
-    return poly_sum(p.n, p.d, terms)
+    out: dict[ExpVec, Coeff] = {}
+    for phibar, q in _place_derivatives(p, rights):
+        _add_placed(out, lefts, phibar, q, sign)
+    return p._wrap(out)
 
 
 def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
@@ -857,13 +888,13 @@ def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
     where chi is the package-convention character of the conjugate shape and
     dim is the dimension of the irreducible of the given shape.  The place
     words run over those whose derivative is nonzero.  Built from MPoly.diff
-    and products only, never from the act_generator kernel.
+    and exponent-vector additions only, never from the polarization kernel.
     """
     shape = check_partition(shape)
     h = sum(shape)
     conj = conjugate(shape)
-    n, d = p.n, p.d
-    terms = []
+    n = p.n
+    out: dict[ExpVec, Coeff] = {}
     for sigma in itertools.permutations(range(h)):
         chi = character(conj, sigma)
         if not chi:
@@ -871,5 +902,5 @@ def act_higher_capelli(shape: Sequence[int], p: MPoly) -> MPoly:
         for ibar in itertools.product(range(1, n + 1), repeat=h):
             rows = tuple(ibar[sigma[k]] for k in range(h))
             for phibar, q in _place_derivatives(p, rows):
-                terms.append(MPoly.monomial(n, d, zip(ibar, phibar)) * q * chi)
-    return poly_sum(n, d, terms) / dim_irrep(shape)
+                _add_placed(out, ibar, phibar, q, chi)
+    return p._wrap(scale_terms(out, Fraction(1, dim_irrep(shape))))

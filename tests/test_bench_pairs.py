@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 spec = importlib.util.spec_from_file_location(
@@ -30,3 +31,27 @@ def test_summarize_counts_wins_by_direction_and_skips_ties():
     assert out["t"]["change_over_parent"] == 0.5
     assert out["t"]["gap_exceeds_parent_iqr"] is True
     assert out["t"]["pairs"] == 4
+
+
+def test_worktree_export_holds_the_tree_as_on_disk_and_nothing_ignored(tmp_path):
+    root, dest = tmp_path / "repo", tmp_path / "export"
+    (root / "pkg").mkdir(parents=True)
+    (root / ".gitignore").write_text("__pycache__/\n*.log\n")
+    (root / "pkg" / "mod.py").write_text("committed\n")
+    (root / "pkg" / "gone.py").write_text("committed, then deleted\n")
+    git = ("git", "-c", "user.name=t", "-c", "user.email=t@t", "-C", str(root))
+    subprocess.run((*git, "init", "-q"), check=True)
+    subprocess.run((*git, "add", "-A"), check=True)
+    subprocess.run((*git, "commit", "-q", "-m", "seed"), check=True)
+    (root / "pkg" / "mod.py").write_text("edited, not committed\n")
+    (root / "pkg" / "gone.py").unlink()
+    (root / "pkg" / "new.py").write_text("untracked\n")
+    (root / "pkg" / "__pycache__").mkdir()
+    (root / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    (root / "run.log").write_text("ignored\n")
+
+    bench_pairs._export_worktree(root, dest)
+
+    files = sorted(str(p.relative_to(dest)) for p in dest.rglob("*") if p.is_file())
+    assert files == [".gitignore", "pkg/mod.py", "pkg/new.py"]
+    assert (dest / "pkg" / "mod.py").read_text() == "edited, not committed\n"

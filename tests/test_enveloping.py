@@ -71,6 +71,27 @@ def test_ad_known():
 
 
 @settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: element_strategy(n=n, max_terms=3, max_len=3)
+    )
+)
+def test_ad_matches_the_commutator_through_products(x):
+    # the derivation rule against e_ij·x − x·e_ij, diagonal generators included
+    idx = range(1, x.n + 1)
+    for i, j in itertools.product(idx, repeat=2):
+        g = gen(x.n, i, j)
+        assert ad(i, j, x) == g * x - x * g, (i, j)
+
+
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 5)])
+def test_ad_rejects_generators_out_of_range(i, j):
+    with pytest.raises(ValueError) as info:
+        ad(i, j, gen(2, 1, 2))
+    assert str(info.value) == f"generator e[{i},{j}] out of range for n=2"
+
+
+@settings(deadline=None)
 @given(element_strategy(), element_strategy(), element_strategy())
 def test_associativity(x, y, z):
     assert (x * y) * z == x * (y * z)

@@ -356,6 +356,16 @@ def test_std_expansion_merges_repeated_pairs():
     assert StdExpansion.from_json([pair, pair], 2, 2) == doubled
 
 
+def test_std_expansion_reads_an_iterator_of_terms_once():
+    # the checks once consumed a generator, leaving the merge nothing: 0
+    one, two = Tableau(((1,),)), Tableau(((2,),))
+    triples = [(one, one, 1), (one, two, Fraction(-1, 2)), (one, one, 1)]
+    from_list = StdExpansion(2, 2, triples)
+    from_iter = StdExpansion(2, 2, (t for t in triples))
+    assert from_iter == from_list
+    assert from_iter.text() == from_list.text() == "−1/2 · (1|2) + 2 · (1|1)"
+
+
 @pytest.mark.parametrize("i, phi", [(0, 1), (3, 1), (1, 0), (1, 3)])
 def test_poly_from_json_rejects_out_of_range_variables(i, phi):
     # (0|1) once indexed the last variable, (1|3) the next row's first one
@@ -972,6 +982,21 @@ def test_column_operator_rejects_out_of_range_letters(lefts, rights, probe):
     # a letter outside 1..n raises even when every derivative vanishes
     with pytest.raises(ValueError, match="out of range"):
         act_column_capelli_diff(lefts, rights, probe)
+
+
+@settings(deadline=None)
+@given(poly_strategy(n=3, d=2, max_terms=3, max_deg=3))
+def test_act_ugl_of_generators_is_act_generator_composed(p):
+    # one generator is one kernel call; a PBW monomial g1·g2 acts as g1(g2(p))
+    idx = range(1, 4)
+    for i, j in itertools.product(idx, repeat=2):
+        assert act_ugl(UglElement.generator(3, i, j), p) == act_generator(i, j, p)
+    for (a, b), (c, e) in itertools.combinations_with_replacement(
+        itertools.product(idx, repeat=2), 2
+    ):
+        # (a, b) <= (c, e), so the product is the single normal monomial
+        x = UglElement(3, {((a, b), (c, e)): 1})
+        assert act_ugl(x, p) == act_generator(a, b, act_generator(c, e, p))
 
 
 def test_act_generator_on_variables():

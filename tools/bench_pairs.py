@@ -3,9 +3,13 @@
     python3 tools/bench_pairs.py --parent REV --out BENCH_<PR>.json [--first-seed 1]
 
 Run from the root of a source checkout: the checkout's working tree is the
-change.  The committed files of REV are exported with ``git archive`` into a
-temporary directory (the repository's own metadata is left untouched) and
-are the parent.  For every workload of ``BENCHMARK.json`` the script runs
+change.  Both sides run from fresh copies in temporary directories, so that
+neither finds bytecode or other leftovers of earlier runs: the committed
+files of REV are exported with ``git archive`` and are the parent, and the
+working tree's files that ``git ls-files --cached --others
+--exclude-standard`` lists and that still exist are copied as they are on
+disk and are the change (the repository's own metadata is left untouched).
+For every workload of ``BENCHMARK.json`` the script runs
 ``bench/run.py`` in both trees for ten pairs, with ``--seconds`` set to the
 benchmark's ``run_seconds`` and the same seed on both sides; pair k uses
 seed first-seed + k and the parent runs first in even pairs, the change in
@@ -26,6 +30,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -57,6 +62,19 @@ def _export(root: Path, rev: str, dest: Path) -> None:
             archive.extractall(dest, filter="data")
         else:
             archive.extractall(dest)
+
+
+def _export_worktree(root: Path, dest: Path) -> None:
+    """The working tree's tracked and untracked files that git does not
+    ignore, as they are on disk, copied under dest; a tracked file deleted
+    from the tree is skipped."""
+    listed = _git(root, "ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, os.fsdecode(listed).split("\0")):
+        source = root / name
+        if source.is_file():
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -127,10 +145,11 @@ def main(argv: list[str] | None = None) -> int:
     parent_rev = _git(root, "rev-parse", args.parent).decode().strip()
     head = _git(root, "rev-parse", "HEAD").decode().strip()
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_tree = Path(tmp)
-        _export(root, parent_rev, parent_tree)
-        trees = {"parent": parent_tree, "change": root}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_tmp, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change_tmp:
+        trees = {"parent": Path(parent_tmp), "change": Path(change_tmp)}
+        _export(root, parent_rev, trees["parent"])
+        _export_worktree(root, trees["change"])
         record = {
             "parent": parent_rev,
             "change": f"working tree of {head}",
