@@ -50,9 +50,13 @@ def _indices(text: str) -> tuple[int, ...]:
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    message = f"must be a positive integer: {text!r}"
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+        raise argparse.ArgumentTypeError(message)
     return value
 
 

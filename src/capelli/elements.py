@@ -30,6 +30,7 @@ from .polynomials import (
     _check_column,
     _columns_polynomial,
     _double_young_table,
+    _immanant_columns,
     _young_table,
     column_sign,
     gc_coordinates,
@@ -189,16 +190,14 @@ def _sum_columns(n: int, weights: dict[ColumnKey, Coeff]) -> UglElement:
 def capelli_bitableau(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Image [S|T] of the bitableau (S|T): the signed sum of column Capelli
     elements over the multipermutation expansion.  Zero when shapes differ."""
-    weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _bitableau_table, n, n, left, right)
+    weights = _add_tableau_columns({}, _bitableau_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
 def young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
     """Right symmetrized element [S|box T]: sum of [S|Tbar] over all column
     permutations Tbar of T, with multiplicity."""
-    weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _young_table, n, n, left, right)
+    weights = _add_tableau_columns({}, _young_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
@@ -209,8 +208,7 @@ def double_young_capelli(left: Tableau, right: Tableau, n: int) -> UglElement:
 
     summed over all tuples sigma of within-row permutations of T (a signed
     multiset: repeated row entries contribute repeated variants)."""
-    weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _double_young_table, n, n, left, right)
+    weights = _add_tableau_columns({}, _double_young_table, n, n, left, right)
     return _sum_columns(n, weights)
 
 
@@ -219,12 +217,7 @@ def capelli_immanant(shape, lefts, rights, n: int) -> UglElement:
 
         Cimm_shape[ibar; jbar] = sum_sigma chi_shape(sigma) [ibar o sigma | jbar]
     """
-    shape = check_partition(shape)
-    h = sum(shape)
-    lefts, rights = _check_column(n, n, lefts, rights)
-    if len(lefts) != h:
-        raise ValueError(f"index words must have length {h}")
-    return _sum_columns(n, _add_columns({}, _character_support(shape), lefts, rights))
+    return _sum_columns(n, _immanant_columns(shape, n, n, lefts, rights))
 
 
 def _diagonal_word(comp: tuple[int, ...]) -> tuple[int, ...]:

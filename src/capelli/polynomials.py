@@ -319,34 +319,15 @@ def column_bitableau(n: int, d: int, lefts: Sequence[int], rights: Sequence[int]
     return column_monomial(n, d, lefts, rights) * column_sign(len(lefts))
 
 
-def crossing_sign(shape: Sequence[int]) -> int:
-    """Sign of a bitableau relative to the product of its row biproducts."""
-    exponent = sum(
-        shape[p] * shape[q] for p in range(1, len(shape)) for q in range(p)
-    )
-    return -1 if exponent % 2 else 1
-
-
-def bitableau(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
-    """Signed product of row biproducts; zero when the shapes differ."""
-    _check_words(n, d, left.word(), right.word())
-    if left.shape != right.shape:
-        return MPoly.zero(n, d)
-    result = MPoly.one(n, d) * crossing_sign(left.shape)
-    for lrow, rrow in zip(left.rows, right.rows):
-        result = result * biproduct(n, d, lrow, rrow)
-    return result
-
-
 def expand_into_columns(
     left: Tableau, right: Tableau
 ) -> list[tuple[int, tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Expansion of a bitableau into full-depth column pairs.
 
     One term per row permutation alpha of _bitableau_table, with weight
-    sgn alpha; the cells are read column by column, top to bottom.  Summing
-    sign * column_bitableau over the result reproduces bitableau(left,
-    right) exactly.
+    sgn alpha; the cells are read column by column, top to bottom.  The
+    table is bitableau's own, so summing sign * column_bitableau over the
+    result gives bitableau(left, right) by construction.
     """
     if left.shape != right.shape:
         return []
@@ -381,13 +362,26 @@ def _add_columns(weights: dict, table: Table, lefts, rights, coeff=1) -> dict:
 
 def _add_tableau_columns(
     weights: dict, table_fn, n: int, d: int, left: Tableau, right: Tableau, coeff=1
-):
+) -> dict:
     """Add coeff times the table_fn(shape) family of (left|right), nothing when
-    the shapes differ; the words are checked against 1..n and 1..d first."""
+    the shapes differ; the words are checked against 1..n and 1..d first.
+    Returns weights."""
     lword, rword = left.word(), right.word()
     _check_words(n, d, lword, rword)
     if left.shape == right.shape:
         _add_columns(weights, table_fn(left.shape), lword, rword, coeff)
+    return weights
+
+
+def _immanant_columns(shape, n: int, d: int, lefts, rights) -> dict:
+    """The immanant's column map sum_sigma chi_shape(sigma) (lefts o sigma |
+    rights), after checking the shape, the words and their length |shape|."""
+    shape = check_partition(shape)
+    h = sum(shape)
+    lefts, rights = _check_column(n, d, lefts, rights)
+    if len(lefts) != h:
+        raise ValueError(f"index words must have length {h}")
+    return _add_columns({}, _character_support(shape), lefts, rights)
 
 
 def _row_major_blocks(shape: Sequence[int]) -> tuple[list[list[int]], list[list[int]]]:
@@ -469,11 +463,17 @@ def _columns_polynomial(n: int, d: int, weights: dict[ColumnKey, Rational]) -> M
     return poly_sum(n, d, columns)
 
 
+def bitableau(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
+    """(S|T): the signed row sum of column bitableaux; zero when the shapes
+    differ."""
+    weights = _add_tableau_columns({}, _bitableau_table, n, d, left, right)
+    return _columns_polynomial(n, d, weights)
+
+
 def right_symmetrized(n: int, d: int, left: Tableau, right: Tableau) -> MPoly:
     """Sum of bitableau(left, rbar) over all column permutations rbar of right,
     counted with multiplicity."""
-    weights: dict[ColumnKey, int] = {}
-    _add_tableau_columns(weights, _young_table, n, d, left, right)
+    weights = _add_tableau_columns({}, _young_table, n, d, left, right)
     return _columns_polynomial(n, d, weights)
 
 
@@ -511,13 +511,7 @@ def immanant(
     n: int, d: int, shape: Sequence[int], lefts: Sequence[int], rights: Sequence[int]
 ) -> MPoly:
     """Character-weighted sum of column bitableaux over left permutations."""
-    shape = check_partition(shape)
-    h = sum(shape)
-    lefts, rights = _check_column(n, d, lefts, rights)
-    if len(lefts) != h:
-        raise ValueError(f"index words must have length {h}")
-    weights = _add_columns({}, _character_support(shape), lefts, rights)
-    return _columns_polynomial(n, d, weights)
+    return _columns_polynomial(n, d, _immanant_columns(shape, n, d, lefts, rights))
 
 
 def imm_operator(shape: Sequence[int], p: MPoly) -> MPoly:

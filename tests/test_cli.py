@@ -290,3 +290,22 @@ def test_help_lists_subcommands():
     assert proc.returncode == 0
     for name in ("qimm", "col", "straighten", "expand-standard", "verify"):
         assert name in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("qimm", "--shape", "2,1", "--n", "1.5"),
+        ("verify", "central", "--max-h", "x"),
+    ],
+    ids=["qimm-n", "verify-max-h"],
+)
+def test_non_integer_count_is_a_usage_error(args):
+    # int() failing inside the argument type once printed the helper's name
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "must be a positive integer" in errors[0]
+    assert "_positive" not in proc.stderr

@@ -230,6 +230,27 @@ def test_capelli_immanant_validation():
         capelli_immanant((2, 1), (1, 2), (1, 2), 2)
 
 
+# fault -> (shape, lefts, rights, the message both immanants give) at gl(n)
+_IMMANANT_FAULTS = {
+    "shape": lambda n: ((2, 3), (1, 2), (1, 2), "must weakly decrease: (2, 3)"),
+    "lengths": lambda n: ((2,), (1, 2), (1,), "differ in length"),
+    "weight": lambda n: ((2, 1), (1, 2), (1, 2), "index words must have length 3"),
+    "letter": lambda n: ((2,), (1, n + 1), (1, 2), f"(1, {n + 1}) out of range 1..{n}"),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("fault", _IMMANANT_FAULTS.values(), ids=list(_IMMANANT_FAULTS))
+def test_both_immanants_reject_bad_input_with_one_message(fault, n):
+    shape, lefts, rights, message = fault(n)
+    with pytest.raises(ValueError) as polynomial:
+        immanant(n, n, shape, lefts, rights)
+    with pytest.raises(ValueError) as element:
+        capelli_immanant(shape, lefts, rights, n)
+    assert str(polynomial.value) == str(element.value)
+    assert message in str(element.value)
+
+
 def test_quantum_immanant_small():
     n = 2
     assert quantum_immanant((1,), n) == gen(n, 1, 1) + gen(n, 2, 2)

@@ -22,7 +22,6 @@ from capelli.polynomials import (
     bitableau,
     column_bitableau,
     column_sign,
-    crossing_sign,
     expand_into_columns,
     gc_coordinates,
     imm_operator,
@@ -413,6 +412,26 @@ def test_biproduct_length_mismatch_is_zero():
     assert not biproduct(2, 2, (1, 2), (1,))
 
 
+def crossing_sign(shape):
+    """Sign of a bitableau relative to the product of its row biproducts:
+    (-1)^(sum over p > q of shape_p * shape_q)."""
+    exponent = sum(
+        shape[p] * shape[q] for p in range(1, len(shape)) for q in range(p)
+    )
+    return -1 if exponent % 2 else 1
+
+
+def row_biproduct_bitableau(n, d, left, right):
+    """Reference (S|T) that reads no column table: the crossing sign times the
+    product of the row biproducts; zero when the shapes differ."""
+    if left.shape != right.shape:
+        return MPoly.zero(n, d)
+    result = MPoly.one(n, d) * crossing_sign(left.shape)
+    for lrow, rrow in zip(left.rows, right.rows):
+        result = result * biproduct(n, d, lrow, rrow)
+    return result
+
+
 def test_column_bitableau_and_signs():
     assert column_sign(0) == column_sign(1) == 1
     assert column_sign(2) == -1
@@ -447,7 +466,22 @@ def test_expand_into_columns_reconstructs(pair):
             for sign, (ls, rs) in expand_into_columns(left, right)
         ),
     )
-    assert total == bitableau(n, d, left, right)
+    assert total == row_biproduct_bitableau(n, d, left, right)
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        filled_pair_strategy(n=3, d=3).map(lambda pair: (3, 3, pair)),
+        filled_pair_strategy(n=3, d=2).map(lambda pair: (3, 2, pair)),
+    )
+)
+def test_bitableau_is_the_signed_product_of_row_biproducts(case):
+    # bitableau reads the signed row-sum table; the reference multiplies minors
+    n, d, (left, right) = case
+    got, want = bitableau(n, d, left, right), row_biproduct_bitableau(n, d, left, right)
+    assert got == want
+    assert got.to_json() == want.to_json()
 
 
 def test_right_symmetrized_worked_example():
