@@ -27,6 +27,7 @@ from .elements import (
 from .enveloping import UglElement
 from .polynomials import bitableau, straighten
 from .tableaux import Tableau, check_partition
+from .terms import json_term_list
 from .verify import SUITES, phase, run
 
 
@@ -96,7 +97,7 @@ def cmd_compute(args) -> int:
             raise UsageError(str(exc))
     with phase("render", args.timing):
         if args.format == "json":
-            print(json.dumps(result.to_json(), indent=2))
+            print(json_term_list(result.to_json()))
         else:
             print(result.text())
     return 0
@@ -108,8 +109,16 @@ def cmd_verify(args) -> int:
     return 0 if report["status"] == "pass" else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors print one line, as a UsageError does;
+    the subcommand parsers are of the same class."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="capelli",
         description="Exact distinguished elements of U(gl(n)) in PBW normal form.",
     )

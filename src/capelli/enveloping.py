@@ -26,27 +26,24 @@ Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
 
 
-def _first_descent(mono: Monomial) -> int:
-    for k in range(len(mono) - 1):
-        if mono[k] > mono[k + 1]:
-            return k
-    return -1
-
-
 def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
     """Rewrite a bag of (monomial, coeff) pairs into the PBW term map.
 
     Worklist algorithm: each out-of-order adjacent pair e_ab e_cd is replaced
     by e_cd e_ab plus the (shorter) bracket terms, which are pushed back.
     Termination: every step either lowers the inversion count at fixed
-    length or lowers the length.
+    length or lowers the length.  Each entry carries where its search for a
+    descent starts: the terms pushed after a rewrite at k share the sorted
+    head mono[:k], so their first descent is at k - 1 or later.
     """
     normal: dict[Monomial, Coeff] = {}
-    stack = [item for item in raw if item[1]]
+    stack = [(mono, coeff, 0) for mono, coeff in raw if coeff]
     while stack:
-        mono, coeff = stack.pop()
-        k = _first_descent(mono)
-        if k < 0:
+        mono, coeff, k = stack.pop()
+        last = len(mono) - 1
+        while k < last and mono[k] <= mono[k + 1]:
+            k += 1
+        if k >= last:
             # inline merge, not add_terms: this is the innermost PBW loop
             acc = normal.get(mono, 0) + coeff
             if acc:
@@ -56,11 +53,12 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
             continue
         (a, b), (c, d) = mono[k], mono[k + 1]
         head, tail = mono[:k], mono[k + 2 :]
-        stack.append((head + ((c, d), (a, b)) + tail, coeff))
+        start = k - 1 if k else 0
+        stack.append((head + ((c, d), (a, b)) + tail, coeff, start))
         if b == c:
-            stack.append((head + ((a, d),) + tail, coeff))
+            stack.append((head + ((a, d),) + tail, coeff, start))
         if d == a:
-            stack.append((head + ((c, b),) + tail, -coeff))
+            stack.append((head + ((c, b),) + tail, -coeff, start))
     return normal
 
 

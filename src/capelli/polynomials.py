@@ -353,9 +353,17 @@ Table = dict[tuple[int, ...], int]
 
 def _add_columns(weights: dict, table: Table, lefts, rights, coeff=1) -> dict:
     """Add w * coeff at the column key of (lefts o pi | rights) for each
-    pi -> w of the table, keeping a key whose weight cancels; returns weights."""
+    pi -> w of the table, keeping a key whose weight cancels; returns weights.
+
+    The key depends on pi only through the word lefts o pi, so the weights
+    are summed per word first and each distinct word is sorted once.
+    """
+    by_word: dict[tuple[int, ...], int] = {}
     for pi, w in table.items():
-        key = tuple(sorted(zip([lefts[k] for k in pi], rights)))
+        word = tuple([lefts[k] for k in pi])
+        by_word[word] = by_word.get(word, 0) + w
+    for word, w in by_word.items():
+        key = tuple(sorted(zip(word, rights)))
         weights[key] = weights.get(key, 0) + w * coeff
     return weights
 

@@ -5,12 +5,13 @@ each a map from basis items (PBW monomials, exponent vectors, standard
 pairs) to nonzero coefficients: an ``int`` when integral, a ``Fraction``
 otherwise (the two compare and hash alike).  This module holds what the
 three have in common: that rule, merging and scaling terms, rendering with
-folded signs, reading JSON term lists and checking sizes.
+folded signs, writing and reading JSON term lists and checking sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as quote
 from numbers import Rational
 from typing import Callable, Hashable, Iterable
 
@@ -115,6 +116,44 @@ def read_terms(data, fields: tuple[str, ...], read: Callable) -> list:
         except ValueError as exc:
             raise ValueError(f"term {index}: {exc}") from None
     return out
+
+
+def json_term_list(entries: list[dict]) -> str:
+    """json.dumps(entries, indent=2) for a JSON term list, the output of every
+    to_json: flat dicts whose values are strings or lists of integer rows.
+
+    The standard encoder falls back to its pure-Python loop under indent; here
+    each distinct row is rendered once per call.
+    """
+    if not entries:
+        return "[]"
+    rows: dict[tuple[int, ...], str] = {}
+
+    def value(v) -> str:
+        if isinstance(v, str):
+            return quote(v)
+        if not v:
+            return "[]"
+        parts = []
+        for row in v:
+            row = tuple(row)
+            text = rows.get(row)
+            if text is None:
+                text = rows[row] = (
+                    "[\n        " + ",\n        ".join(map(str, row)) + "\n      ]"
+                    if row
+                    else "[]"
+                )
+            parts.append(text)
+        return "[\n      " + ",\n      ".join(parts) + "\n    ]"
+
+    objects = (
+        "{\n    "
+        + ",\n    ".join(f"{quote(key)}: {value(v)}" for key, v in entry.items())
+        + "\n  }"
+        for entry in entries
+    )
+    return "[\n  " + ",\n  ".join(objects) + "\n]"
 
 
 def read_monomial(raw, item: str, slots: tuple[str, ...]) -> list[tuple[int, ...]]:

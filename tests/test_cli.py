@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from capelli import cli, verify
-from capelli.elements import quantum_immanant, schur_element
+from capelli.elements import quantum_immanant, schur_element, standard_capelli_expansion
 from capelli.enveloping import UglElement
+from capelli.polynomials import bitableau, straighten
+from capelli.tableaux import Tableau
 
 
 def run_cli(*args, stdin_text=None):
@@ -72,6 +74,40 @@ def test_qimm_json_round_trips():
     assert proc.returncode == 0
     element = UglElement.from_json(json.loads(proc.stdout), 2)
     assert element == quantum_immanant((2, 1), 2)
+
+
+SCHUR_21 = json.dumps(schur_element((2, 1), 2).to_json())
+
+
+@pytest.mark.parametrize(
+    "args, build",
+    [
+        (
+            ("qimm", "--shape", "3,1", "--n", "3", "--schur"),
+            lambda: schur_element((3, 1), 3),
+        ),
+        (
+            ("straighten", "--left", "[[3,2],[1]]", "--right", "[[2,1],[2]]",
+             "--n", "3", "--d", "2"),
+            lambda: straighten(
+                bitableau(3, 2, Tableau(((3, 2), (1,))), Tableau(((2, 1), (2,))))
+            ),
+        ),
+        (
+            ("expand-standard", "--element", SCHUR_21, "--n", "2"),
+            lambda: standard_capelli_expansion(schur_element((2, 1), 2)),
+        ),
+        (
+            ("expand-standard", "--element", "[]", "--n", "2"),
+            lambda: standard_capelli_expansion(UglElement.zero(2)),
+        ),
+    ],
+    ids=["qimm", "straighten", "expand-standard", "expand-zero"],
+)
+def test_json_output_is_the_indented_dump_of_to_json(args, build):
+    proc = run_cli(*args, "--format", "json")
+    assert proc.returncode == 0
+    assert proc.stdout == json.dumps(build().to_json(), indent=2) + "\n"
 
 
 def test_reruns_are_byte_identical():
@@ -309,3 +345,29 @@ def test_non_integer_count_is_a_usage_error(args):
     assert len(errors) == 1
     assert "must be a positive integer" in errors[0]
     assert "_positive" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (
+            ("qimm", "--shape", "2,1", "--n", "1.5"),
+            "capelli qimm: error: argument --n: must be a positive integer: '1.5'",
+        ),
+        (
+            ("verify", "central", "--max-h", "x"),
+            "capelli verify: error: argument --max-h: must be a positive integer: 'x'",
+        ),
+        (
+            ("qimm", "--n", "2"),
+            "capelli qimm: error: the following arguments are required: --shape",
+        ),
+    ],
+    ids=["qimm-n", "verify-max-h", "qimm-no-shape"],
+)
+def test_usage_errors_print_one_line(args, line):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [line]
+

@@ -5,7 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from capelli.enveloping import UglElement, ad, element_sum
+from capelli.enveloping import UglElement, _normalize, ad, element_sum
+from capelli.polynomials import MPoly, StdExpansion
+from capelli.tableaux import Tableau, partitions_of
+from capelli.terms import json_term_list
 
 
 def gen(n, i, j):
@@ -240,6 +243,92 @@ def test_text_uses_real_minus_sign():
 def test_json_round_trip(x):
     data = json.loads(json.dumps(x.to_json()))
     assert UglElement.from_json(data, x.n) == x
+
+
+coeff_strategy = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def term_list_owner_strategy(draw):
+    """A random UglElement, MPoly or StdExpansion: the three owners of to_json."""
+    n, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(("ugl", "mpoly", "std")))
+    if kind == "ugl":
+        return draw(element_strategy(n=n))
+    if kind == "mpoly":
+        exps = st.tuples(*[st.integers(0, 2)] * (n * d))
+        return MPoly(n, d, draw(st.dictionaries(exps, coeff_strategy, max_size=4)))
+    terms = []
+    for _ in range(draw(st.integers(0, 3))):
+        shape = draw(st.sampled_from(partitions_of(draw(st.integers(0, 3)))))
+        left, right = (
+            Tableau(tuple(
+                tuple(draw(st.integers(1, size)) for _ in range(k)) for k in shape
+            ))
+            for size in (n, d)
+        )
+        terms.append((left, right, draw(coeff_strategy)))
+    return StdExpansion(n, d, tuple(terms))
+
+
+@settings(deadline=None)
+@given(term_list_owner_strategy())
+@example(UglElement.zero(2))
+@example(UglElement.scalar(2, Fraction(-3, 2)))
+@example(gen(3, 3, 1) * gen(3, 1, 2) * Fraction(-7, 4) + UglElement.scalar(3, 5))
+@example(MPoly.zero(2, 3))
+@example(MPoly.one(2, 2) * -2)
+@example(StdExpansion(2, 2, ()))
+@example(StdExpansion(2, 2, ((Tableau(()), Tableau(()), Fraction(1, 2)),)))
+def test_json_term_list_is_the_indented_json_dump(x):
+    entries = x.to_json()
+    assert json_term_list(entries) == json.dumps(entries, indent=2)
+
+
+def reference_normalize(raw):
+    """The PBW worklist with each search for a descent starting at 0."""
+    normal = {}
+    stack = [item for item in raw if item[1]]
+    while stack:
+        mono, coeff = stack.pop()
+        k = next((k for k in range(len(mono) - 1) if mono[k] > mono[k + 1]), -1)
+        if k < 0:
+            normal[mono] = normal.get(mono, 0) + coeff
+            if not normal[mono]:
+                del normal[mono]
+            continue
+        (a, b), (c, d) = mono[k], mono[k + 1]
+        head, tail = mono[:k], mono[k + 2 :]
+        stack.append((head + ((c, d), (a, b)) + tail, coeff))
+        if b == c:
+            stack.append((head + ((a, d),) + tail, coeff))
+        if d == a:
+            stack.append((head + ((c, b),) + tail, -coeff))
+    return normal
+
+
+@st.composite
+def raw_bag_strategy(draw):
+    """Unsorted (monomial, coeff) pairs at n <= 3 of length <= 5, including
+    zero coefficients, negated repeats and reorderings of the same factors."""
+    n = draw(st.integers(1, 3))
+    letter = st.integers(1, n)
+    mono = st.lists(st.tuples(letter, letter), max_size=5).map(tuple)
+    bag = draw(st.lists(st.tuples(mono, coeff_strategy), max_size=4))
+    for m, c in list(bag):
+        if draw(st.booleans()):
+            bag.append((m, -c))
+        if draw(st.booleans()):
+            bag.append((tuple(draw(st.permutations(m))), draw(coeff_strategy)))
+    return bag
+
+
+@settings(deadline=None)
+@given(raw_bag_strategy())
+@example([(((2, 1), (1, 2)), 1), (((1, 2), (2, 1)), -1)])
+@example([(((3, 3), (2, 3), (1, 2), (3, 1), (1, 1)), Fraction(-1, 2))])
+def test_normalize_matches_the_scan_from_zero(raw):
+    assert _normalize(raw) == reference_normalize(raw)
 
 
 def test_json_coefficients_are_ascii_fractions():

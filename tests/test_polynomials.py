@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from capelli import polynomials
 from capelli.characters import character
@@ -584,6 +584,53 @@ def test_column_tables_are_quasi_idempotent(shape):
     assert group_product(a, a) == scaled(a, rows)
     assert group_product(y, y) == scaled(y, hooks)
     assert group_product(d, d) == scaled(d, column_sign(sum(shape)) * rows * hooks)
+
+
+def reference_add_columns(weights, table, lefts, rights, coeff=1):
+    """The column map with one sorted key per permutation of the table."""
+    for pi, w in table.items():
+        key = tuple(sorted(zip([lefts[k] for k in pi], rights)))
+        weights[key] = weights.get(key, 0) + w * coeff
+    return weights
+
+
+COLUMN_TABLES = (
+    polynomials._bitableau_table,
+    polynomials._young_table,
+    polynomials._double_young_table,
+    polynomials._character_support,
+)
+
+
+@st.composite
+def table_and_words_strategy(draw):
+    """A cached column table for |shape| <= 4 and two pairs of words over
+    one or two letters, so that letters repeat."""
+    shape = draw(st.sampled_from([s for h in range(5) for s in partitions_of(h)]))
+    table = draw(st.sampled_from(COLUMN_TABLES))(shape)
+    h = sum(shape)
+    word = st.lists(st.integers(1, draw(st.integers(1, 2))), min_size=h, max_size=h)
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+    return table, [(draw(word), draw(word), draw(coeff)) for _ in range(2)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(table_and_words_strategy())
+@example((polynomials._bitableau_table((2,)), [([1, 1], [1, 2], 1)] * 2))
+@example((polynomials._character_support((2, 1)), [([1, 1, 2], [2, 1, 1], 1)] * 2))
+def test_add_columns_matches_one_sort_per_permutation(case):
+    table, calls = case
+    got, want = {}, {}
+    for lefts, rights, coeff in calls:
+        polynomials._add_columns(got, table, lefts, rights, coeff)
+        reference_add_columns(want, table, lefts, rights, coeff)
+    assert list(got.items()) == list(want.items())
+
+
+def test_add_columns_keeps_a_key_whose_weight_cancels():
+    # both row permutations of (2,) give the word (1, 1), with signs +1 and -1
+    table = polynomials._bitableau_table((2,))
+    assert polynomials._add_columns({}, table, [1, 1], [1, 2]) == {((1, 1), (1, 2)): 0}
 
 
 # -- literal references for the column-map families --------------------------
