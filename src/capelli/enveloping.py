@@ -186,18 +186,23 @@ class UglElement:
     def is_central(self) -> bool:
         """True iff the element commutes with every generator e_ij.
 
-        Only the 2(n-1) Chevalley generators e_{i,i+1} and e_{i+1,i} are
-        tried.  The elements of gl(n) whose bracket with self vanishes form a
-        Lie subalgebra (by the Jacobi identity); the Chevalley generators
-        generate sl(n) as a Lie algebra, and gl(n) = sl(n) + C·(e_11 + ... +
-        e_nn) with that sum central.  So commuting with them is commuting
-        with every e_ij, and at n = 1 every element is central.
+        First the weight: ad(e_ii) scales a PBW monomial by the number of
+        its left indices equal to i minus the number of its right indices
+        equal to i, so self commutes with every e_ii iff each monomial has
+        the same multiset of left and right indices.  Then only the n - 1
+        raising generators e_{k,k+1} are tried.  The elements of gl(n) whose
+        bracket with self vanishes form a Lie subalgebra (by the Jacobi
+        identity), so killing the e_{k,k+1} is killing all of n+.  U(gl(n))
+        under ad is locally finite and completely reducible (Dixmier,
+        Enveloping Algebras): each filtration piece is a finite-dimensional
+        sl(n)-module, and the centre of gl(n) acts by 0.  A weight-zero
+        vector killed by n+ lies in the trivial isotypic part, so it is
+        killed by every e_ij.  At n = 1 every element is central.
         """
-        return all(
-            not ad(i, j, self)
-            for k in range(1, self.n)
-            for i, j in ((k, k + 1), (k + 1, k))
-        )
+        for mono in self.terms:
+            if sorted([i for i, _ in mono]) != sorted([j for _, j in mono]):
+                return False
+        return all(not ad(k, k + 1, self) for k in range(1, self.n))
 
     def sorted_terms(self) -> list[tuple[Monomial, Coeff]]:
         return sorted(self.terms.items(), key=lambda item: _term_sort_key(item[0]))

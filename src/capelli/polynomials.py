@@ -268,10 +268,13 @@ def poly_sum(n: int, d: int, polys: Iterable[MPoly]) -> MPoly:
 
 
 def _check_words(n: int, d: int, lefts: Sequence[int], rights: Sequence[int]) -> None:
-    if any(type(i) is not int or not 1 <= i <= n for i in lefts):
-        raise ValueError(f"left word {tuple(lefts)} out of range 1..{n}")
-    if any(type(j) is not int or not 1 <= j <= d for j in rights):
-        raise ValueError(f"right word {tuple(rights)} out of range 1..{d}")
+    # plain loops, not any(genexpr): this runs once per oracle call
+    for i in lefts:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"left word {tuple(lefts)} out of range 1..{n}")
+    for j in rights:
+        if type(j) is not int or not 1 <= j <= d:
+            raise ValueError(f"right word {tuple(rights)} out of range 1..{d}")
 
 
 def _check_column(n, d, lefts, rights) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -804,7 +807,8 @@ def act_ugl(x, p: MPoly) -> MPoly:
     """Action of a PBW element: each monomial acts with its rightmost
     generator first, weighted by its coefficient; a monomial stops at the
     first generator that sends its image to 0.  The generators shift raw term
-    maps, and only the sum is wrapped."""
+    maps, each image is merged into the sum inline, and only the sum is
+    wrapped."""
     if x.n != p.n:
         raise ValueError(f"ambient mismatch: n={x.n} vs n={p.n}")
     d = p.d
@@ -815,26 +819,41 @@ def act_ugl(x, p: MPoly) -> MPoly:
             q = _shift(q, (j - 1) * d, (i - 1) * d, d)
             if not q:
                 break
-        add_terms(out, ((exp, c * coeff) for exp, c in q.items()))
+        # inline merge, not add_terms: one merge per PBW monomial and probe
+        for exp, c in q.items():
+            acc = out.get(exp, 0) + c * coeff
+            if acc:
+                out[exp] = acc
+            else:
+                del out[exp]
     return p._wrap(out)
 
 
-def _place_derivatives(p: MPoly, rows: tuple[int, ...], places: tuple[int, ...] = ()):
+def _place_derivatives(
+    p: MPoly, rows: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], MPoly]]:
     """Oracle helper: (phibar, d/d(rows_1|phi_1)...d/d(rows_h|phi_h) p) for
     every place word phibar whose derivative is nonzero, in lexicographic
-    order.  Depth first, trying phi_k only where some term of the current
-    derivative has a positive exponent at (rows_k|phi_k): elsewhere the
-    derivative, and every one below it, is 0.  The rows must be in 1..n."""
-    k = len(places)
-    if k == len(rows):
-        yield places, p
-        return
-    base = (rows[k] - 1) * p.d - 1
-    for phi in range(1, p.d + 1):
-        if any(exp[base + phi] for exp in p.terms):
-            yield from _place_derivatives(
-                p.diff(rows[k], phi), rows, places + (phi,)
-            )
+    order.  Level by level: one scan of each current derivative's terms
+    collects the live places phi_k, those where some term has a positive
+    exponent at (rows_k|phi_k), and only they are tried, in increasing
+    order; elsewhere the derivative, and every one below it, is 0.  The
+    rows must be in 1..n."""
+    d = p.d
+    level = [((), p)]
+    for row in rows:
+        base = (row - 1) * d
+        deeper = []
+        for places, q in level:
+            live = set()
+            for exp in q.terms:
+                for phi in range(d):
+                    if exp[base + phi]:
+                        live.add(phi)
+            for phi in sorted(live):
+                deeper.append((places + (phi + 1,), q.diff(row, phi + 1)))
+        level = deeper
+    return level
 
 
 def _add_placed(

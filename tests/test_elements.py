@@ -110,6 +110,49 @@ def test_column_constructions_give_one_message_per_fault(build, fault):
     assert str(err.value) == message
 
 
+_BAD_LETTERS = {
+    "bool": (True, "True"),
+    "zero": (0, "0"),
+    "n_plus_1": (3, "3"),
+    "float": (1.0, "1.0"),
+    "str": ("1", "'1'"),
+}
+
+
+@pytest.mark.parametrize("letter, shown", _BAD_LETTERS.values(), ids=list(_BAD_LETTERS))
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda l, r: column_capelli(l, r, 2),
+        lambda l, r: act_column_capelli_diff(l, r, MPoly.variable(2, 2, 1, 1)),
+    ],
+    ids=["column_capelli", "act_column_capelli_diff"],
+)
+def test_word_check_messages_name_the_whole_word(build, letter, shown):
+    with pytest.raises(ValueError) as err:
+        build((1, letter), (1, 2))
+    assert str(err.value) == f"left word (1, {shown}) out of range 1..2"
+    with pytest.raises(ValueError) as err:
+        build((1, 2), (letter, 1))
+    assert str(err.value) == f"right word ({shown}, 1) out of range 1..2"
+
+
+def test_bitableau_word_check_messages():
+    # a tableau holds positive ints only, so n + 1 is the one bad letter that
+    # reaches the word check; the others are refused by Tableau itself
+    one_two = Tableau(((1, 2),))
+    with pytest.raises(ValueError) as err:
+        bitableau(2, 2, Tableau(((1, 3),)), one_two)
+    assert str(err.value) == "left word (1, 3) out of range 1..2"
+    with pytest.raises(ValueError) as err:
+        bitableau(2, 2, one_two, Tableau(((3, 1),)))
+    assert str(err.value) == "right word (3, 1) out of range 1..2"
+    for letter in (True, 0, 1.0, "1"):
+        with pytest.raises(ValueError) as err:
+            Tableau(((1, letter),))
+        assert str(err.value) == "tableau entries must be positive integers"
+
+
 def test_column_capelli_depth_two():
     n = 2
     expected = -(gen(n, 1, 2) * gen(n, 2, 1)) + gen(n, 1, 1)

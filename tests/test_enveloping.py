@@ -206,6 +206,57 @@ def test_is_central_agrees_with_every_generator(x):
     assert x.is_central() == expected
 
 
+def commutes_with_every_generator(x):
+    idx = range(1, x.n + 1)
+    return all(not (gen(x.n, i, j) * x - x * gen(x.n, i, j)) for i in idx for j in idx)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_raising_generators_alone_do_not_decide_centrality(n):
+    # e_1n, its square and its product with the central e_11 + ... + e_nn are
+    # killed by every raising generator e_{k,k+1}; only their nonzero weight
+    # shows that they are not central
+    linear = element_sum(n, (gen(n, i, i) for i in range(1, n + 1)))
+    top = gen(n, 1, n)
+    for x in (top, top * top, top * linear):
+        assert all(not ad(k, k + 1, x) for k in range(1, n))
+        assert not x.is_central()
+        assert not commutes_with_every_generator(x)
+
+
+@st.composite
+def weight_zero_strategy(draw):
+    # Casimir combinations plus products e_{i_1 j_1}...e_{i_k j_k} whose right
+    # indices are a permutation of their left ones: weight zero, sometimes
+    # central
+    n = draw(st.sampled_from([3, 4]))
+    idx = range(1, n + 1)
+    linear = element_sum(n, (gen(n, i, i) for i in idx))
+    quadratic = element_sum(n, (gen(n, i, j) * gen(n, j, i) for i in idx for j in idx))
+    x = linear * draw(st.integers(-2, 2)) + quadratic * draw(st.integers(-2, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        lefts = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+        rights = draw(st.permutations(lefts))
+        factor = UglElement.one(n)
+        for i, j in zip(lefts, rights):
+            factor = factor * gen(n, i, j)
+        num = draw(st.integers(min_value=-3, max_value=3))
+        den = draw(st.integers(min_value=1, max_value=3))
+        x = x + factor * Fraction(num, den)
+    return x
+
+
+@settings(deadline=None)
+@given(weight_zero_strategy())
+@example(gen(3, 1, 1) - gen(3, 2, 2))
+@example(gen(4, 1, 2) * gen(4, 2, 1) + gen(4, 2, 1) * gen(4, 1, 2))
+@example(gen(4, 1, 2) * gen(4, 2, 3) * gen(4, 3, 1))
+def test_is_central_of_weight_zero_elements_agrees_with_every_generator(x):
+    for mono in x.terms:
+        assert sorted(i for i, _ in mono) == sorted(j for _, j in mono)
+    assert x.is_central() == commutes_with_every_generator(x)
+
+
 def test_mixed_size_arithmetic_is_rejected():
     with pytest.raises(ValueError):
         gen(2, 1, 1) + gen(3, 1, 1)

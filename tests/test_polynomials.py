@@ -1065,6 +1065,33 @@ def test_column_operator_rejects_out_of_range_letters(lefts, rights, probe):
         act_column_capelli_diff(lefts, rights, probe)
 
 
+def _poly_and_rows(n, d):
+    return st.tuples(
+        poly_strategy(n=n, d=d, max_terms=4, max_deg=3),
+        st.lists(st.integers(1, n), min_size=1, max_size=3).map(tuple),
+    )
+
+
+@settings(deadline=None)
+@given(st.one_of(_poly_and_rows(3, 3), _poly_and_rows(2, 4)))
+@example((var(1, 1, 3, 3) * Fraction(2, 3) + var(2, 3, 3, 3) * var(1, 2, 3, 3), (1, 2)))
+@example((var(1, 4, 2, 4) * var(1, 2, 2, 4) * Fraction(-1, 2), (1, 1)))
+def test_place_derivatives_are_the_nonzero_ones_in_lexicographic_order(case):
+    # reference: every one of the d^h place words, kept where the derivative
+    # is nonzero
+    p, rows = case
+    expected = []
+    for phibar in itertools.product(range(1, p.d + 1), repeat=len(rows)):
+        q = p
+        for row, phi in zip(rows, phibar):
+            q = q.diff(row, phi)
+        if q:
+            expected.append((phibar, q))
+    assert list(polynomials._place_derivatives(p, rows)) == expected
+    zero = MPoly.zero(p.n, p.d)
+    assert list(polynomials._place_derivatives(zero, rows)) == []
+
+
 @settings(deadline=None)
 @given(poly_strategy(n=3, d=2, max_terms=3, max_deg=3))
 def test_act_ugl_of_generators_is_act_generator_composed(p):
