@@ -12,6 +12,7 @@ Young-Capelli basis.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial, prod
@@ -98,9 +99,6 @@ def _column_sorted(pairs: tuple[tuple[int, int], ...], n: int) -> UglElement:
     return result
 
 
-_column_alt_memo: dict[tuple, UglElement] = {}
-
-
 def column_capelli_alt(lefts, rights, n: int) -> UglElement:
     """Oracle: checks column_capelli by the independent bottom-row recursion:
 
@@ -108,36 +106,34 @@ def column_capelli_alt(lefts, rights, n: int) -> UglElement:
                     + (-1)^(h-2) sum_{k<h} delta_{ih,jk}
                       [rows l not in {k,h}, then row (ik, jh)]
 
-    Memoized on the literal word pair so the route stays independent of
-    column_capelli's row-sorting.
+    The words are checked once here; the recursion is memoized on the
+    literal word pair so the route stays independent of column_capelli's
+    row-sorting.
     """
     lefts, rights = _check_column(n, n, lefts, rights)
-    key = (lefts, rights, n)
-    cached = _column_alt_memo.get(key)
-    if cached is not None:
-        return cached
+    return _column_bottom(lefts, rights, n)
+
+
+@functools.cache
+def _column_bottom(lefts: tuple[int, ...], rights: tuple[int, ...], n: int) -> UglElement:
     h = len(lefts)
     if h == 0:
-        result = UglElement.one(n)
-    elif h == 1:
-        result = UglElement.generator(n, lefts[0], rights[0])
-    else:
-        top_sign = -1 if (h - 1) % 2 else 1
-        result = (
-            column_capelli_alt(lefts[:-1], rights[:-1], n)
-            * UglElement.generator(n, lefts[-1], rights[-1])
-            * top_sign
-        )
-        contract_sign = -1 if (h - 2) % 2 else 1
-        for k in range(h - 1):
-            if lefts[-1] == rights[k]:
-                kept = [l for l in range(h - 1) if l != k]
-                new_lefts = tuple(lefts[l] for l in kept) + (lefts[k],)
-                new_rights = tuple(rights[l] for l in kept) + (rights[-1],)
-                result = result + column_capelli_alt(
-                    new_lefts, new_rights, n
-                ) * contract_sign
-    _column_alt_memo[key] = result
+        return UglElement.one(n)
+    if h == 1:
+        return UglElement.generator(n, lefts[0], rights[0])
+    top_sign = -1 if (h - 1) % 2 else 1
+    result = (
+        _column_bottom(lefts[:-1], rights[:-1], n)
+        * UglElement.generator(n, lefts[-1], rights[-1])
+        * top_sign
+    )
+    contract_sign = -1 if (h - 2) % 2 else 1
+    for k in range(h - 1):
+        if lefts[-1] == rights[k]:
+            kept = [l for l in range(h - 1) if l != k]
+            new_lefts = tuple(lefts[l] for l in kept) + (lefts[k],)
+            new_rights = tuple(rights[l] for l in kept) + (rights[-1],)
+            result = result + _column_bottom(new_lefts, new_rights, n) * contract_sign
     return result
 
 
@@ -252,6 +248,7 @@ def quantum_immanant(shape, n: int) -> UglElement:
         word = _diagonal_word(comp)
         weight = Fraction(signed_hooks, prod(map(factorial, comp)))
         weights = by_length.setdefault(m, {})
+        # int sums per key first, so the Fraction weight multiplies once per key
         for key, chi in _add_columns({}, support, word, word).items():
             weights[key] = chi * weight
     acc: dict[Monomial, Coeff] = {}

@@ -19,8 +19,8 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Iterator, Mapping
 
-from .terms import Coeff, add_terms, check_size, exact, parse_coeff, read_monomial
-from .terms import read_terms, scale_terms, settle, signed_text
+from .terms import Coeff, add_terms, check_generator, check_size, exact, parse_coeff
+from .terms import read_monomial, read_terms, scale_terms, settle, signed_text
 
 Generator = tuple[int, int]
 Monomial = tuple[Generator, ...]
@@ -32,15 +32,14 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
     Worklist algorithm: each out-of-order adjacent pair e_ab e_cd is replaced
     by e_cd e_ab plus the (shorter) bracket terms, which are pushed back.
     Termination: every step either lowers the inversion count at fixed
-    length or lowers the length.  Each entry carries where its search for a
-    descent starts: the terms pushed after a rewrite at k share the sorted
-    head mono[:k], so their first descent is at k - 1 or later.
+    length or lowers the length.
     """
     normal: dict[Monomial, Coeff] = {}
-    stack = [(mono, coeff, 0) for mono, coeff in raw if coeff]
+    stack = [(mono, coeff) for mono, coeff in raw if coeff]
     while stack:
-        mono, coeff, k = stack.pop()
+        mono, coeff = stack.pop()
         last = len(mono) - 1
+        k = 0
         while k < last and mono[k] <= mono[k + 1]:
             k += 1
         if k >= last:
@@ -53,12 +52,11 @@ def _normalize(raw: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
             continue
         (a, b), (c, d) = mono[k], mono[k + 1]
         head, tail = mono[:k], mono[k + 2 :]
-        start = k - 1 if k else 0
-        stack.append((head + ((c, d), (a, b)) + tail, coeff, start))
+        stack.append((head + ((c, d), (a, b)) + tail, coeff))
         if b == c:
-            stack.append((head + ((a, d),) + tail, coeff, start))
+            stack.append((head + ((a, d),) + tail, coeff))
         if d == a:
-            stack.append((head + ((c, b),) + tail, -coeff, start))
+            stack.append((head + ((c, b),) + tail, -coeff))
     return normal
 
 
@@ -79,8 +77,7 @@ class UglElement:
         for mono, coeff in (terms or {}).items():
             mono = tuple((i, j) for i, j in mono)
             for i, j in mono:
-                if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
-                    raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
+                check_generator(n, i, j)
             raw.append((mono, exact(coeff)))
         object.__setattr__(self, "terms", settle(_normalize(raw)))
 
@@ -249,9 +246,7 @@ def ad(i: int, j: int, x: UglElement) -> UglElement:
     with [e_ij, e_ab] = delta_ja e_ib − delta_bi e_aj, normalized once, so the
     top-degree parts of e_ij·x and x·e_ij, which cancel, are never built.
     """
-    n = x.n
-    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
+    check_generator(x.n, i, j)
     raw = []
     for mono, coeff in x.terms.items():
         for k, (a, b) in enumerate(mono):

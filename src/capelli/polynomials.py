@@ -29,10 +29,16 @@ from .tableaux import (
     partitions_of,
     permutation_sign,
 )
-from .terms import Coeff, add_terms, check_size, exact, parse_coeff, read_monomial
-from .terms import read_terms, scale_terms, settle, signed_text
+from .terms import Coeff, add_terms, check_generator, check_size, exact, parse_coeff
+from .terms import read_monomial, read_terms, scale_terms, settle, signed_text
 
 ExpVec = tuple[int, ...]
+
+
+def _check_variable(n: int, d: int, i, phi) -> None:
+    """A variable (i|phi) of C[M_{n,d}]: ints (not bools), i in 1..n, phi in 1..d."""
+    if not (type(i) is type(phi) is int and 1 <= i <= n and 1 <= phi <= d):
+        raise ValueError(f"variable ({i}|{phi}) out of range for ({n},{d})")
 
 
 class MPoly:
@@ -75,8 +81,7 @@ class MPoly:
         """The product of the variables (i|phi) over the given pairs."""
         exp = [0] * (n * d)
         for i, phi in pairs:
-            if not (type(i) is type(phi) is int and 1 <= i <= n and 1 <= phi <= d):
-                raise ValueError(f"variable ({i}|{phi}) out of range for ({n},{d})")
+            _check_variable(n, d, i, phi)
             exp[(i - 1) * d + (phi - 1)] += 1
         return cls(n, d, {tuple(exp): 1})
 
@@ -151,10 +156,7 @@ class MPoly:
 
     def diff(self, i: int, phi: int) -> "MPoly":
         """Partial derivative with respect to the variable (i|phi)."""
-        if not (type(i) is type(phi) is int and 1 <= i <= self.n and 1 <= phi <= self.d):
-            raise ValueError(
-                f"variable ({i}|{phi}) out of range for ({self.n},{self.d})"
-            )
+        _check_variable(self.n, self.d, i, phi)
         idx = (i - 1) * self.d + (phi - 1)
         out: dict[ExpVec, Coeff] = {}
         # inline merge, not add_terms: the differential operators' innermost loop
@@ -243,7 +245,7 @@ class MPoly:
             exp = [0] * (n * d)
             variables = read_monomial(entry["monomial"], "variable", ("i", "phi", "e"))
             for i, phi, e in variables:
-                _check_words(n, d, (i,), (phi,))
+                _check_variable(n, d, i, phi)
                 exp[(i - 1) * d + (phi - 1)] += e
             return cls(n, d, {tuple(exp): parse_coeff(entry["coeff"])})
 
@@ -617,8 +619,6 @@ def standard_pairs(h: int, n: int, d: int) -> list[tuple[Tableau, Tableau]]:
     1..d, listed in increasing straightening order."""
     pairs = []
     for shape in partitions_of(h):
-        if shape and shape[0] > min(n, d):
-            continue
         lefts = enumerate_standard(shape, n)
         rights = lefts if d == n else enumerate_standard(shape, d)
         pairs.extend(itertools.product(lefts, rights))
@@ -797,9 +797,8 @@ def act_generator(i: int, j: int, p: MPoly) -> MPoly:
     a = exp[(j|phi)] > 0, weighted by a.  For i = j every monomial stays in
     place, weighted by its row-j degree (the Euler operator).  Shares no code
     with MPoly.diff, which the oracles below use."""
-    n, d = p.n, p.d
-    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"generator indices ({i},{j}) out of range for n={n}")
+    check_generator(p.n, i, j)
+    d = p.d
     return p._wrap(_shift(p.terms, (j - 1) * d, (i - 1) * d, d))
 
 

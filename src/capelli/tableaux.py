@@ -84,8 +84,12 @@ class Tableau:
         rows = tuple(tuple(row) for row in self.rows)
         object.__setattr__(self, "rows", rows)
         check_partition(tuple(len(row) for row in rows))
-        if any(type(e) is not int or e <= 0 for row in rows for e in row):
-            raise ValueError("tableau entries must be positive integers")
+        for row in rows:
+            for e in row:
+                if type(e) is not int or e <= 0:
+                    raise ValueError(
+                        f"tableau entry {e!r} in row {row} is not a positive integer"
+                    )
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -5,7 +5,7 @@ each a map from basis items (PBW monomials, exponent vectors, standard
 pairs) to nonzero coefficients: an ``int`` when integral, a ``Fraction``
 otherwise (the two compare and hash alike).  This module holds what the
 three have in common: that rule, merging and scaling terms, rendering with
-folded signs, writing and reading JSON term lists and checking sizes.
+folded signs, writing and reading JSON term lists and checking sizes and generators.
 """
 
 from __future__ import annotations
@@ -37,14 +37,12 @@ def settle(terms: dict) -> dict:
 
 def scale_terms(terms: dict, factor: Rational) -> dict:
     """The term map times a rational factor, unsettled; by 1 it is the map
-    itself (term maps are never mutated once built), by -1 only negated."""
+    itself (term maps are never mutated once built)."""
     q = exact(factor)
     if not q:
         return {}
     if q == 1:
         return terms
-    if q == -1:
-        return {key: -coeff for key, coeff in terms.items()}
     return {key: coeff * q for key, coeff in terms.items()}
 
 
@@ -165,6 +163,12 @@ def read_monomial(raw, item: str, slots: tuple[str, ...]) -> list[tuple[int, ...
             form = ("pair", "triple")[len(slots) - 2]
             raise ValueError(f"{item} {g!r} is not an [{', '.join(slots)}] {form}")
     return [tuple(map(parse_int, g)) for g in raw]
+
+
+def check_generator(n: int, i, j) -> None:
+    """A generator e_ij of gl(n): i and j ints (not bools) in 1..n."""
+    if not (type(i) is type(j) is int and 1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"generator e[{i},{j}] out of range for n={n}")
 
 
 def check_size(name: str, value) -> int:

@@ -362,8 +362,13 @@ def test_non_integer_count_is_a_usage_error(args):
             ("qimm", "--n", "2"),
             "capelli qimm: error: the following arguments are required: --shape",
         ),
+        (
+            ("straighten", "--left", "[[1,0]]", "--right", "[[1,2]]", "--n", "2", "--d", "2"),
+            "capelli straighten: error: argument --left: not a JSON tableau (row arrays): "
+            "tableau entry 0 in row (1, 0) is not a positive integer",
+        ),
     ],
-    ids=["qimm-n", "verify-max-h", "qimm-no-shape"],
+    ids=["qimm-n", "verify-max-h", "qimm-no-shape", "straighten-entry-0"],
 )
 def test_usage_errors_print_one_line(args, line):
     proc = run_cli(*args)

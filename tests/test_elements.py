@@ -124,9 +124,16 @@ _BAD_LETTERS = {
     "build",
     [
         lambda l, r: column_capelli(l, r, 2),
+        lambda l, r: column_capelli_alt(l, r, 2),
+        lambda l, r: column_capelli_literal(l, r, 2),
         lambda l, r: act_column_capelli_diff(l, r, MPoly.variable(2, 2, 1, 1)),
     ],
-    ids=["column_capelli", "act_column_capelli_diff"],
+    ids=[
+        "column_capelli",
+        "column_capelli_alt",
+        "column_capelli_literal",
+        "act_column_capelli_diff",
+    ],
 )
 def test_word_check_messages_name_the_whole_word(build, letter, shown):
     with pytest.raises(ValueError) as err:
@@ -139,7 +146,8 @@ def test_word_check_messages_name_the_whole_word(build, letter, shown):
 
 def test_bitableau_word_check_messages():
     # a tableau holds positive ints only, so n + 1 is the one bad letter that
-    # reaches the word check; the others are refused by Tableau itself
+    # reaches the word check; test_tableau_names_the_bad_entry_and_its_row
+    # covers the others, which Tableau refuses itself
     one_two = Tableau(((1, 2),))
     with pytest.raises(ValueError) as err:
         bitableau(2, 2, Tableau(((1, 3),)), one_two)
@@ -147,10 +155,6 @@ def test_bitableau_word_check_messages():
     with pytest.raises(ValueError) as err:
         bitableau(2, 2, one_two, Tableau(((3, 1),)))
     assert str(err.value) == "right word (3, 1) out of range 1..2"
-    for letter in (True, 0, 1.0, "1"):
-        with pytest.raises(ValueError) as err:
-            Tableau(((1, letter),))
-        assert str(err.value) == "tableau entries must be positive integers"
 
 
 def test_column_capelli_depth_two():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from capelli.enveloping import UglElement, _normalize, ad, element_sum
 from capelli.polynomials import MPoly, StdExpansion
 from capelli.tableaux import Tableau, partitions_of
-from capelli.terms import json_term_list
+from capelli.terms import json_term_list, scale_terms
 
 
 def gen(n, i, j):
@@ -380,6 +380,16 @@ def raw_bag_strategy(draw):
 @example([(((3, 3), (2, 3), (1, 2), (3, 1), (1, 1)), Fraction(-1, 2))])
 def test_normalize_matches_the_scan_from_zero(raw):
     assert _normalize(raw) == reference_normalize(raw)
+
+
+def test_scale_terms_by_one_and_minus_one():
+    terms = {((1, 2),): 3, ((1, 1), (2, 1)): Fraction(-1, 2)}
+    before = dict(terms)
+    assert scale_terms(terms, 1) is terms
+    negated = scale_terms(terms, -1)
+    assert negated is not terms
+    assert negated == {((1, 2),): -3, ((1, 1), (2, 1)): Fraction(1, 2)}
+    assert terms == before
 
 
 def test_json_coefficients_are_ascii_fractions():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from capelli import polynomials
 from capelli.characters import character
-from capelli.enveloping import UglElement
+from capelli.enveloping import UglElement, ad
 from capelli.polynomials import (
     MPoly,
     StdExpansion,
@@ -223,6 +223,44 @@ def test_polynomial_indices_must_be_ints(call, value):
     # True was once read as index 1, and 1.5 or 2.0 raised a bare TypeError
     with pytest.raises(ValueError, match="out of range"):
         call(value)
+
+
+_INDEX_CHECK_SITES = {
+    "UglElement": (
+        lambda: UglElement(2, {((1, 2), (1, 3)): 1}),
+        "generator e[1,3] out of range for n=2",
+    ),
+    "ad": (
+        lambda: ad(True, 1, UglElement.generator(2, 1, 2)),
+        "generator e[True,1] out of range for n=2",
+    ),
+    "act_generator": (
+        lambda: act_generator(3, 1, MPoly.variable(2, 3, 1, 1)),
+        "generator e[3,1] out of range for n=2",
+    ),
+    "monomial": (
+        lambda: MPoly.monomial(2, 3, [(1, 1), (2, 4)]),
+        "variable (2|4) out of range for (2,3)",
+    ),
+    "diff": (
+        lambda: MPoly.variable(2, 3, 1, 1).diff(3, 1),
+        "variable (3|1) out of range for (2,3)",
+    ),
+    "from_json": (
+        lambda: MPoly.from_json([{"coeff": "1", "monomial": [[5, 1, 1]]}], 2, 3),
+        "term 0: variable (5|1) out of range for (2,3)",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "call, message", _INDEX_CHECK_SITES.values(), ids=list(_INDEX_CHECK_SITES)
+)
+def test_index_checks_give_one_message_per_kind(call, message):
+    # generators read e[i,j] against n, variables (i|phi) against (n,d)
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_degree_part_and_homogeneity():

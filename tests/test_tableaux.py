@@ -97,6 +97,15 @@ def test_tableau_rejects_ragged_or_nonpositive():
         Tableau(((0, 1),))
 
 
+@pytest.mark.parametrize("entry", [True, 0, -1, 1.0, "1"])
+def test_tableau_names_the_bad_entry_and_its_row(entry):
+    with pytest.raises(ValueError) as err:
+        Tableau(((1, 2), (1, entry)))
+    assert str(err.value) == (
+        f"tableau entry {entry!r} in row (1, {entry!r}) is not a positive integer"
+    )
+
+
 def test_standard_means_rows_strict_columns_weak():
     assert Tableau(((1, 2), (1,))).is_standard()
     assert Tableau(((1, 1), (2,))).is_row_strict() is False
